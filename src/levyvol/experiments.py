@@ -176,11 +176,7 @@ class ExperimentConfig:
                 "threshold_mult": self.preavg.threshold_mult,
             },
             "prior": asdict(self.prior),
-            "chain": {
-                "total": self.chain.total,
-                "burn_in": self.chain.burn_in,
-                "proposal_sd": self.chain.proposal_sd,
-            },
+            "chain": asdict(self.chain),
             "joint_priors": asdict(self.joint_priors),
             "split_prior": self.split_prior,
             "replications": self.replications,
@@ -612,6 +608,12 @@ def _coverage_summary(rows: list[dict], level: float) -> dict:
     return out
 
 
+def _sample_sd(values: list) -> Optional[float]:
+    """Sample s.d. of a summary column; None (JSON null) below two values,
+    where it is undefined."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else None
+
+
 def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     ok = [r for r in rows if "error" not in r]
     if not ok:
@@ -621,9 +623,9 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
         hats = np.array([r["theta_hat"] for r in ok])
         maps = np.array([r["map_adjusted"] for r in ok])
         s["theta_hat_bias"] = float(hats.mean() - cfg.model.theta)
-        s["theta_hat_se"] = float(hats.std(ddof=1))
+        s["theta_hat_se"] = _sample_sd(hats)
         s["map_bias"] = float(maps.mean() - cfg.model.theta)
-        s["map_se"] = float(maps.std(ddof=1))
+        s["map_se"] = _sample_sd(maps)
         return s
     if cfg.experiment == "bias-study":
         cols = (
@@ -635,7 +637,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
         return {
             c: {
                 "mean": float(np.mean([r[c] for r in ok])),
-                "sd": float(np.std([r[c] for r in ok], ddof=1)),
+                "sd": _sample_sd([r[c] for r in ok]),
             }
             for c in cols
         }

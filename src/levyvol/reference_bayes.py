@@ -67,6 +67,15 @@ class JointTrajectory:
                 )
 
 
+# Tail cut of jump_indicator_probability, in diffusion s.d. Where
+# (d+1)/s >= TAIL_Z and (d-1)/s <= -TAIL_Z, i.e. |d| <= 1 - TAIL_Z*s, the log
+# CDF difference lies in [log(1 - 2*Phi(-TAIL_Z)), 0] = [-2.3e-19, 0], under
+# the 2**-54 = 5.5e-17 that could move the jump-side log weight (magnitude
+# above log 2) by one rounding step. Any cut from 8.4 up (2*Phi(-8.4) =
+# 4.5e-17) is exact; 9 leaves a margin.
+TAIL_Z = 9.0
+
+
 def jump_indicator_probability(
     d: np.ndarray, s: float, p: float
 ) -> np.ndarray:
@@ -78,14 +87,31 @@ def jump_indicator_probability(
         same + (1-p) * N(d; 0, s^2)
 
     Evaluated in log space so that extreme residuals stay finite.
+
+    The CDF difference is evaluated (two ``log_ndtr`` calls) only for
+    residuals within ``TAIL_Z`` diffusion s.d. of an end of the jump range or
+    beyond it. Everywhere else its log is below 2.3e-19 in magnitude, which
+    is under half an ulp of the jump-side log weight ``log(p) + log(1/2)``
+    (at least 5.5e-17, as that weight is below log(1/2)), so the sum would
+    round back to the weight itself: the fast path returns the same floats
+    bit for bit. The difference is even in d; residuals above +1 are
+    evaluated at -d, where the upper CDF term does not round to 1.
     """
     d = np.asarray(d, dtype=np.float64)
-    hi = log_ndtr((d + 1.0) / s)
-    lo = log_ndtr((d - 1.0) / s)
-    ldiff = hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
-    lw1 = np.log(p) + np.log(0.5) + ldiff
-    lw0 = np.log1p(-p) - 0.5 * (d / s) ** 2 - np.log(s * np.sqrt(2 * np.pi))
-    return 1.0 / (1.0 + np.exp(np.clip(lw0 - lw1, -700, 700)))
+    flat = d.reshape(-1)
+    lw1 = np.log(p) + np.log(0.5)
+    lw0 = np.log1p(-p) - 0.5 * (flat / s) ** 2 - np.log(s * np.sqrt(2 * np.pi))
+    log_odds = lw0 - lw1
+    near = np.flatnonzero(np.abs(flat) > 1.0 - TAIL_Z * s)
+    if near.size:
+        dn = flat[near]
+        dn = np.where(dn > 1.0, -dn, dn)
+        hi = log_ndtr((dn + 1.0) / s)
+        lo = log_ndtr((dn - 1.0) / s)
+        ldiff = hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
+        log_odds[near] = lw0[near] - (lw1 + ldiff)
+    prob = 1.0 / (1.0 + np.exp(np.clip(log_odds, -700, 700)))
+    return prob.reshape(d.shape)
 
 
 def _sample_truncnorm(rng, mean, sd, lo, hi):
@@ -152,6 +178,12 @@ def gibbs_full_joint(
     ps = np.empty(chain.total)
     counts = np.empty(chain.total)
 
+    # sweep-invariant terms of the conjugate updates
+    mu_prior_prec = 1.0 / priors.mu_sd**2
+    mu_prior_term = priors.mu_mean / priors.mu_sd**2
+    theta_post_shape = priors.theta_shape + n / 2.0
+    two_delta = 2.0 * delta
+
     for it in range(chain.total):
         s = np.sqrt(theta * delta)
         d = dX - mu * delta
@@ -164,14 +196,14 @@ def gibbs_full_joint(
             xi[b] = _sample_truncnorm(rng, d[b], s, -1.0, 1.0)
 
         resid = dX - xi
-        prec = 1.0 / priors.mu_sd**2 + T / theta
-        mean = (priors.mu_mean / priors.mu_sd**2 + np.sum(resid) / theta) / prec
+        prec = mu_prior_prec + T / theta
+        mean = (mu_prior_term + np.sum(resid) / theta) / prec
         mu = mean + rng.standard_normal() / np.sqrt(prec)
 
         e = resid - mu * delta
         theta = 1.0 / rng.gamma(
-            priors.theta_shape + n / 2.0,
-            1.0 / (priors.theta_scale + np.sum(e**2) / (2.0 * delta)),
+            theta_post_shape,
+            1.0 / (priors.theta_scale + np.sum(e**2) / two_delta),
         )
 
         p = rng.beta(priors.p_a + nb, priors.p_b + n - nb)

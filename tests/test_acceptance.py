@@ -4,12 +4,16 @@ PASS/FAIL line (run pytest with -s to stream them).
 These run the desk-scale experiment defaults; the full-scale designs (e.g.
 coverage at n = 105000 with 1000 replications) stay reachable through config
 overrides but are hours-level compute and not part of this suite.
+
+Every test here carries the ``acceptance`` marker, so
+``pytest -m "not acceptance"`` runs the unit tests alone.
 """
 
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import invgamma, ks_2samp
 
 from levyvol import (
@@ -31,6 +35,8 @@ from levyvol import (
 )
 from levyvol.experiments import VG_MODEL, default_config, fit_no_noise, run
 from test_transform import expected_cross_power, expected_fourth_power
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(cid: str, desc: str, detail: str, passed: bool) -> None:

@@ -44,6 +44,15 @@ def test_config_round_trip():
         assert config_from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_round_trip_keeps_every_chain_field():
+    base = default_config("coverage-noise")
+    chain = replace(base.chain, adapt=False, seed=7, replication=3, proposal_sd=0.2)
+    cfg = replace(base, chain=chain)
+    back = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.chain == chain
+    assert back == cfg
+
+
 def test_config_partial_override_keeps_design_jump():
     cfg = config_from_dict({"experiment": "bias-study", "model": {"n": 777}})
     assert cfg.model.n == 777
@@ -112,6 +121,20 @@ def test_coverage_nonoise_rows_and_summary():
         assert 0.0 <= cov <= 1.0
         want_se = np.sqrt(cov * (1 - cov) / 3)
         assert s[tag]["mc_se"] == pytest.approx(want_se, abs=1e-12)
+
+
+def test_one_replication_summary_is_strict_json(tmp_path):
+    # a sample s.d. of one row is undefined: reported as null, never NaN
+    cfg = replace(_tiny("coverage-nonoise", n=2000, out_dir=str(tmp_path)), replications=1)
+    res = run(cfg)
+    assert res.summary["results"]["theta_hat_se"] is None
+    assert res.summary["results"]["map_se"] is None
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    on_disk = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert on_disk["results"]["theta_hat_se"] is None
 
 
 def test_coverage_noise_pipeline_small():

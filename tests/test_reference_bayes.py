@@ -1,6 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import invgamma, ks_2samp, norm
 
 from levyvol import (
@@ -12,15 +18,30 @@ from levyvol import (
     marginal_theta,
     simulate_path,
 )
+from levyvol import reference_bayes
+from levyvol.experiments import default_config
 from levyvol.reference_bayes import jump_indicator_probability
 from levyvol.rng import stream
+
+
+def _direct_indicator_probability(d, s, p):
+    """The direct formula, both log_ndtr terms on every residual: the oracle
+    the tail fast path must reproduce bit for bit wherever d <= 1 (above +1 it
+    loses the upper CDF term to rounding)."""
+    d = np.asarray(d, dtype=np.float64)
+    hi = log_ndtr((d + 1.0) / s)
+    lo = log_ndtr((d - 1.0) / s)
+    ldiff = hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
+    lw1 = np.log(p) + np.log(0.5) + ldiff
+    lw0 = np.log1p(-p) - 0.5 * (d / s) ** 2 - np.log(s * np.sqrt(2 * np.pi))
+    return 1.0 / (1.0 + np.exp(np.clip(lw0 - lw1, -700, 700)))
 
 
 def test_indicator_probability_against_quadrature():
     # uniform(-1,1) size marginalization equals a Gaussian CDF difference;
     # cross-check the whole posterior odds against brute-force integration
     p, s = 0.005, 0.045
-    for d in (-0.9, -0.2, 0.0, 0.13, 0.5, 1.1):
+    for d in (-0.9, -0.2, 0.0, 0.13, 0.5, 1.1, 1.2):
         integral, _ = quad(lambda y: 0.5 * norm.pdf(d, loc=y, scale=s), -1, 1, limit=200)
         w1 = p * integral
         w0 = (1 - p) * norm.pdf(d, scale=s)
@@ -32,6 +53,45 @@ def test_indicator_probability_against_quadrature():
 def test_indicator_probability_extreme_residual_saturates():
     got = jump_indicator_probability(np.array([0.99, -0.99]), 0.01, 0.005)
     assert np.all(got > 0.999999)
+
+
+def test_indicator_probability_even_in_residual():
+    # the CDF difference is even in d; above +1 + 8s the direct formula
+    # rounded both terms to 0 and returned ~1e-304 with a divide warning
+    d = np.array([1.2, 1.4, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = jump_indicator_probability(d, 0.045, 0.005)
+        down = jump_indicator_probability(-d, 0.045, 0.005)
+    assert np.array_equal(up, down)
+    assert np.all(up[1:] == 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.lists(st.floats(-4.0, 1.0), min_size=1, max_size=40),
+    s=st.floats(1e-3, 2.0),
+    p=st.floats(1e-9, 1 - 1e-9),
+)
+def test_indicator_probability_tail_path_bit_identical(d, s, p):
+    # drawn residuals plus a grid across the TAIL_Z boundary at both ends
+    z = np.linspace(0.0, 2.0 * reference_bayes.TAIL_Z, 145)
+    d = np.concatenate([d, np.minimum(1.0 - s * z, 1.0), np.minimum(-1.0 + s * z, 1.0)])
+    want = _direct_indicator_probability(d, s, p)
+    assert np.array_equal(jump_indicator_probability(d, s, p), want)
+
+
+def test_gibbs_trajectory_bit_identical_to_direct_formula(monkeypatch):
+    cfg = default_config("compare-full-bayes")
+    spec = replace(cfg.model, n=2000)
+    path = simulate_path(spec, cfg.master_seed, 3, cfg.m_aux)
+    kw = dict(chain=GibbsConfig(total=300, burn_in=100), seed=41, replication=3)
+    fast = gibbs_full_joint(path.dY, spec.delta, cfg.joint_priors, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(reference_bayes, "jump_indicator_probability", _direct_indicator_probability)
+        direct = gibbs_full_joint(path.dY, spec.delta, cfg.joint_priors, **kw)
+    for name in ("mu", "theta", "p", "n_jumps"):
+        assert np.array_equal(getattr(fast, name), getattr(direct, name)), name
 
 
 def test_marginal_theta_projection():
