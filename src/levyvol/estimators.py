@@ -36,7 +36,12 @@ def clt_window(bg_index: float) -> tuple[float, float]:
 
 
 def threshold_rv(dY: np.ndarray, w: float, horizon: float, bg_index: float = 0.0) -> float:
-    """Thresholded realized variance (1/T) * sum dY^2 * 1{|dY| <= n^-w}.
+    """Thresholded realized variance (1/T) * sum dY^2 * 1{|dY| <= delta^w}.
+
+    The cut is a power of the sampling interval delta = T/n, the same time
+    convention as ``preavg_threshold_estimator``, so it sits the same number
+    of diffusion s.d. sqrt(theta * delta) out at any horizon; at T = 1 it
+    equals n^-w.
 
     Consistent for any w in (0, 1/2); a warning (not an error) is issued when
     w falls outside the CLT window for the given activity index.
@@ -52,7 +57,7 @@ def threshold_rv(dY: np.ndarray, w: float, horizon: float, bg_index: float = 0.0
             f"{bg_index}; point estimate is still consistent",
             stacklevel=2,
         )
-    eta = n ** (-w)
+    eta = (horizon / n) ** w
     return float(np.sum(dY**2 * (np.abs(dY) <= eta)) / horizon)
 
 

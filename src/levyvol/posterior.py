@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import gammainccinv
 from scipy.stats import gaussian_kde, invgamma, norm
 
 from .errors import ConfigurationError
@@ -42,6 +44,13 @@ class InverseGammaPrior:
 
 @dataclass(frozen=True)
 class TruncatedNormalPrior:
+    """Normal(center, sd) restricted to (lower, inf).
+
+    The log-normaliser log P(Z > (lower - center)/sd) is computed once per
+    instance and cached, so ``logpdf`` costs a few float operations and no
+    ``scipy.stats`` call inside a Metropolis loop.
+    """
+
     center: float
     sd: float
     lower: float = 0.0
@@ -50,11 +59,15 @@ class TruncatedNormalPrior:
     def support(self):
         return (self.lower, np.inf)
 
+    @cached_property
+    def _log_tail(self):
+        return norm.logsf((self.lower - self.center) / self.sd)
+
     def logpdf(self, theta: float) -> float:
         if theta <= self.lower:
             return -np.inf
         z = (theta - self.center) / self.sd
-        tail = norm.logsf((self.lower - self.center) / self.sd)
+        tail = self._log_tail
         return float(-0.5 * z * z - np.log(self.sd) - 0.5 * np.log(2 * np.pi) - tail)
 
 
@@ -290,6 +303,8 @@ def tempered_posterior_mcmc(
     n = ctx.n
     sum_sq = ctx.sum_sq
     no_noise = ctx.sigma_eps2 == 0.0
+    lam_buf = np.empty(n)  # per-chain scratch for the noisy branch
+    work = np.empty(n)
 
     def log_target(theta: float) -> float:
         # tempered quasi-likelihood + prior + log-scale Jacobian
@@ -299,8 +314,8 @@ def tempered_posterior_mcmc(
             lam = theta * delta
             ll = -0.5 * (n * np.log(lam) + sum_sq / lam)
         else:
-            lam = theta * delta + offsets
-            ll = -0.5 * (np.sum(np.log(lam)) + np.sum(R2 / lam))
+            lam = np.add(offsets, theta * delta, out=lam_buf)
+            ll = -0.5 * (np.log(lam, out=work).sum() + np.divide(R2, lam, out=work).sum())
         return ll / kappa + prior.logpdf(theta) + np.log(theta)
 
     curv = -loglik_hess(theta0, ctx)
@@ -371,9 +386,11 @@ def adjust(posterior: Posterior, shift: float) -> Posterior:
 def hpd_interval(posterior: Posterior, level: float = 0.95) -> IntervalReport:
     """Shortest interval holding the given posterior mass.
 
-    Analytic (shifted inverse gamma, unimodal): bisection on the density
-    level. Empirical: shortest window over sorted samples containing
-    ceil(level * m) points.
+    Analytic (shifted inverse gamma, unimodal): the HPD of InvGamma(a, b),
+    minus the shift. With x(q) = b / gammainccinv(a, q) the point of
+    lower-tail mass q, the interval [x(p), x(p + level)] is found by one
+    root solve in p of log f(x(p)) = log f(x(p + level)). Empirical:
+    shortest window over sorted samples containing ceil(level * m) points.
     """
     if not 0 < level < 1:
         raise ConfigurationError("level must be in (0, 1)")
@@ -387,28 +404,24 @@ def hpd_interval(posterior: Posterior, level: float = 0.95) -> IntervalReport:
         i = int(np.argmin(widths))
         return IntervalReport(float(s[i]), float(s[i + k - 1]), level, "HPD")
 
-    mode = posterior.map_point()
-    fmax = float(posterior.pdf(mode))
-    support_lo = -posterior.shift
+    a, b = posterior.shape, posterior.scale
 
-    def interval_at(c: float):
-        left = brentq(
-            lambda x: posterior.pdf(x) - c, support_lo + 1e-300, mode, xtol=1e-14
-        )
-        hi = mode + max(1.0, abs(mode))
-        while posterior.pdf(hi) > c:
-            hi = mode + 2 * (hi - mode)
-        right = brentq(lambda x: posterior.pdf(x) - c, mode, hi, xtol=1e-14)
-        return left, right
+    def x_at(q: float) -> float:
+        return b / gammainccinv(a, q)
 
-    def mass_minus_level(c: float) -> float:
-        left, right = interval_at(c)
-        return float(posterior.cdf(right) - posterior.cdf(left)) - level
+    def logf_gap(p: float) -> float:
+        # unnormalized log-density at the lower minus at the upper endpoint
+        lo, hi = x_at(p), x_at(p + level)
+        return (a + 1) * np.log(hi / lo) + b / hi - b / lo
 
-    c_lo, c_hi = fmax * 1e-12, fmax * (1 - 1e-12)
-    c_star = brentq(mass_minus_level, c_lo, c_hi, xtol=1e-15 * fmax, rtol=1e-12)
-    left, right = interval_at(c_star)
-    return IntervalReport(float(left), float(right), level, "HPD")
+    # the gap runs from -inf (p -> 0) to +inf (p -> 1 - level, where
+    # x(p + level) -> x(1) = inf); the bracket stops short of both ends
+    p_star = brentq(
+        logf_gap, 1e-300, (1 - level) * (1 - 1e-9), xtol=1e-300, rtol=4 * np.finfo(float).eps
+    )
+    lower = x_at(p_star) - posterior.shift
+    upper = x_at(p_star + level) - posterior.shift
+    return IntervalReport(float(lower), float(upper), level, "HPD")
 
 
 def equal_tail_interval(posterior: Posterior, level: float = 0.95) -> IntervalReport:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,30 @@ def test_threshold_bias_vg_design():
         [threshold_rv(simulate_path(spec, 7, r).dY, 0.39, 1.0) for r in range(200)]
     )
     assert abs(vals.mean() - 0.3) < 0.01
+
+
+def test_threshold_consistent_at_horizon_four():
+    # the cut (T/n)^w sits ~4 diffusion s.d. out at T = 4 as at T = 1; a cut
+    # of n^-w would sit at ~2.3 s.d. and average 0.258 on these paths
+    spec = ModelSpec(mu=0.0, theta=0.3, jump=NoJumps(), sigma_eps=0.0, horizon=4.0, n=5000)
+    vals = np.asarray(
+        [threshold_rv(simulate_path(spec, 7, r).dY, 0.39, 4.0) for r in range(50)]
+    )
+    assert abs(vals.mean() - 0.3) < 0.006
+
+
+@pytest.mark.parametrize("n", [500, 1000, 5000, 15600, 23400, 64000])
+@pytest.mark.parametrize("w", [0.19, 0.39, 0.41])
+def test_threshold_unit_horizon_matches_n_power_cut(n, w):
+    # at T = 1 the horizon-aware cut is the same float as n^-w, so no default
+    # design moves
+    spec = ModelSpec(mu=0.1, theta=0.3, jump=VarianceGamma(-0.2, 0.2, 0.23), n=n)
+    dY = simulate_path(spec, 11).dY
+    horizon = dY.size * spec.delta
+    seed_value = float(np.sum(dY**2 * (np.abs(dY) <= n ** (-w))) / horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert threshold_rv(dY, w, horizon) == seed_value
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import invgamma, ks_2samp, norm
 
+import levyvol.posterior as posterior_module
 from levyvol import (
     AnalyticPosterior,
     ChainConfig,
@@ -136,6 +140,68 @@ def test_mcmc_acceptance_warning():
         tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain)
 
 
+def _uncached_truncnorm_logpdf(prior, theta):
+    # oracle: the uncached expression, norm.logsf evaluated on every call
+    if theta <= prior.lower:
+        return -np.inf
+    z = (theta - prior.center) / prior.sd
+    tail = norm.logsf((prior.lower - prior.center) / prior.sd)
+    return float(-0.5 * z * z - np.log(prior.sd) - 0.5 * np.log(2 * np.pi) - tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.floats(-10.0, 10.0),
+    sd=st.floats(1e-3, 10.0),
+    lower=st.floats(-10.0, 10.0),
+    gap=st.floats(1e-6, 20.0),
+)
+def test_truncnorm_cached_normaliser_is_bit_identical(center, sd, lower, gap):
+    theta = lower + gap
+    assume(theta > lower)
+    prior = TruncatedNormalPrior(center=center, sd=sd, lower=lower)
+    assert prior.logpdf(theta) == _uncached_truncnorm_logpdf(prior, theta)
+    assert prior.logpdf(theta) == _uncached_truncnorm_logpdf(prior, theta)  # cached path
+
+
+def _noisy_chain(total=3000):
+    spec = ModelSpec(mu=0.0, theta=0.3, jump=NoJumps(), sigma_eps=0.01, n=2000)
+    ctx = make_context(simulate_path(spec, 23).dY, spec.delta)
+    prior = TruncatedNormalPrior(center=0.32, sd=0.05, lower=0.1)
+    chain = ChainConfig(total=total, burn_in=1000, seed=29)
+    return tempered_posterior_mcmc(prior, ctx, 1.3, chain)
+
+
+def test_noisy_chain_golden_values():
+    # pinned float values of a noisy truncated-normal chain: any change to the
+    # log-target that flips one accept/reject decision moves them
+    emp = _noisy_chain()
+    assert emp.samples.size == 2000
+    assert emp.samples[0] == 0.2202774411422565
+    assert emp.samples[1500] == 0.22486457609353133
+    assert emp.samples[-1] == 0.2208323602621653
+    assert emp.acceptance_rate == 0.4
+    assert emp.chain_meta["proposal_sd"] == 0.19116962866952636
+
+
+def _counting(monkeypatch, obj, name):
+    calls = []
+    original = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def test_chain_calls_norm_logsf_at_most_once(monkeypatch):
+    calls = _counting(monkeypatch, posterior_module.norm, "logsf")
+    _noisy_chain(total=2000)
+    assert len(calls) <= 1
+
+
 def test_chain_config_validation():
     with pytest.raises(ConfigurationError):
         ChainConfig(total=1000, burn_in=1000).validate()
@@ -201,6 +267,58 @@ def test_hpd_mass_is_exact_for_analytic():
     et = equal_tail_interval(post, 0.9)
     assert iv.upper < et.upper
     assert iv.width() < et.width()
+
+
+def _nested_bisection_hpd(posterior, level):
+    # oracle: bisection on the density level c, each step solving for both
+    # density crossings and their mass
+    mode = posterior.map_point()
+    fmax = float(posterior.pdf(mode))
+    support_lo = -posterior.shift
+
+    def interval_at(c):
+        left = brentq(lambda x: posterior.pdf(x) - c, support_lo + 1e-300, mode, xtol=1e-14)
+        hi = mode + max(1.0, abs(mode))
+        while posterior.pdf(hi) > c:
+            hi = mode + 2 * (hi - mode)
+        right = brentq(lambda x: posterior.pdf(x) - c, mode, hi, xtol=1e-14)
+        return left, right
+
+    def mass_minus_level(c):
+        left, right = interval_at(c)
+        return float(posterior.cdf(right) - posterior.cdf(left)) - level
+
+    c_star = brentq(
+        mass_minus_level, fmax * 1e-12, fmax * (1 - 1e-12), xtol=1e-15 * fmax, rtol=1e-12
+    )
+    return interval_at(c_star)
+
+
+@pytest.mark.parametrize("shape", [1.5, 3.0, 26.0, 2501.0, 12501.0])
+def test_hpd_analytic_matches_nested_bisection(shape):
+    scale = 0.3 * (shape + 1)  # mode of the unshifted law at 0.3
+    base = AnalyticPosterior(shape=shape, scale=scale, kappa=1.0)
+    et = equal_tail_interval(base, 0.95)
+    # shape <= 2 has no variance; the 95% equal-tail width stands in for it
+    sd = np.sqrt(base.var()) if shape > 2 else et.width()
+    # the last two shifts put the mode, then the whole interval, below 0
+    for shift in (0.0, -0.7, 0.3, et.upper + sd):
+        post = adjust(base, shift)
+        for level in (0.9, 0.95):
+            iv = hpd_interval(post, level)
+            lo, hi = _nested_bisection_hpd(post, level)
+            assert abs(iv.lower - lo) < 1e-9 * sd
+            assert abs(iv.upper - hi) < 1e-9 * sd
+            assert abs(float(post.logpdf(iv.lower) - post.logpdf(iv.upper))) < 1e-9
+            assert abs(float(post.cdf(iv.upper) - post.cdf(iv.lower)) - level) < 1e-12
+    assert hpd_interval(adjust(base, et.upper + sd), 0.95).upper < 0.0
+
+
+def test_analytic_hpd_makes_no_invgamma_pdf_call(monkeypatch):
+    calls = _counting(monkeypatch, posterior_module.invgamma, "pdf")
+    iv = hpd_interval(AnalyticPosterior(shape=2501.0, scale=750.3, shift=0.05), 0.95)
+    assert iv.lower < iv.upper
+    assert calls == []
 
 
 def test_hpd_empirical_shortest_window():
