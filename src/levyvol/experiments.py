@@ -143,6 +143,13 @@ class ExperimentConfig:
             raise ConfigurationError("level must be in (0, 1)")
         self.model.validate()
         self.preavg.validate()
+        # the config schema names only the default weight; another one would
+        # be written out as "triangle" and reload as a different design
+        default = PreavgConfig()
+        if (self.preavg.weight, self.preavg.weight_deriv) != (default.weight, default.weight_deriv):
+            raise ConfigurationError(
+                "experiments support only the default triangle pre-averaging weight"
+            )
 
     def to_dict(self) -> dict:
         jump = self.model.jump
@@ -171,6 +178,7 @@ class ExperimentConfig:
             "bg_index": self.bg_index,
             "kappa_mode": self.kappa_mode,
             "preavg": {
+                "weight": "triangle",
                 "block_constant": self.preavg.block_constant,
                 "threshold_exponent": self.preavg.threshold_exponent,
                 "threshold_mult": self.preavg.threshold_mult,
@@ -218,7 +226,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         base_model.update(m)
         kwargs["model"] = ModelSpec(jump=jump, **base_model)
     if "preavg" in d:
-        kwargs["preavg"] = replace(base.preavg, **d["preavg"])
+        preavg = dict(d["preavg"])
+        weight = preavg.pop("weight", "triangle")
+        if weight != "triangle":
+            raise ConfigurationError(f"unknown pre-averaging weight {weight!r}; only 'triangle' exists")
+        kwargs["preavg"] = replace(base.preavg, **preavg)
     if "prior" in d:
         kwargs["prior"] = replace(base.prior, **d["prior"])
     if "chain" in d:
@@ -374,21 +386,21 @@ def fit_noise(
     prior would fight the finite-sample location bias of the quasi-MLE and
     drag the corrected posterior off its recentered position.
     """
-    full = estimate_noise(dY, delta, cfg.preavg, cfg.kappa_mode)
-    reference = normal_reference(full.theta_hat, full.v_hat, -0.25, dY.size)
     if cfg.split_prior:
+        full = estimate_noise(dY, delta, cfg.preavg, cfg.kappa_mode)
         n1 = (dY.size + 1) // 2  # boundary increment goes to the first half
         dY1, dY2 = dY[:n1], dY[n1:]
         pre1 = preavg_threshold_estimator(
             dY1, cfg.preavg, float(np.sum(dY1**2) / (2 * dY1.size)), delta, n1 * delta
         )
         center_raw = pre1.value
-        infer = estimate_noise(dY2, delta, cfg.preavg, cfg.kappa_mode)
         ctx = make_context(dY2, delta)
+        infer = estimate_noise(dY2, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
     else:
-        infer = full
         ctx = make_context(dY, delta)
+        full = infer = estimate_noise(dY, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
         center_raw = full.theta_hat
+    reference = normal_reference(full.theta_hat, full.v_hat, -0.25, dY.size)
     shift = infer.theta_tilde - infer.theta_hat
     if cfg.prior.family == "truncated-normal" and cfg.prior.center is None:
         prior = TruncatedNormalPrior(
@@ -559,10 +571,14 @@ _WORKERS = {
 
 
 def _safe_worker(args) -> dict:
+    """Run one task. Data and numerical failures become a row with the
+    reason: ``ValueError`` covers ConfigurationError, DegenerateDataError,
+    LinAlgError and a root solver's bracket error, ``ArithmeticError`` the
+    floating-point ones. Any other exception is a bug and aborts the run."""
     cfg, task = args
     try:
         return _WORKERS[cfg.experiment](cfg, task)
-    except Exception as exc:  # noqa: BLE001 - failures become rows, not aborts
+    except (ValueError, ArithmeticError) as exc:
         return {"rep": task, "error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -4,13 +4,16 @@ variance, with the noise variance handled by a frozen plug-in.
 The model pretends jumps and drift are absent. With noise, the likelihood is
 written in the decorrelated coordinates R with spectrum
 lambda_j(theta) = theta*delta + 2*sigma_eps2*(1 - cos(j*pi/(n+1))).
-With sigma_eps2 = 0 it collapses to i.i.d. N(0, theta*delta) increments and
-the maximizer is the scaled realized quadratic variation.
+With sigma_eps2 = 0 it collapses to i.i.d. N(0, theta*delta) increments: the
+spectrum is the single eigenvalue theta*delta with multiplicity n, and the
+maximizer is the scaled realized quadratic variation. One kernel over
+lam = theta*delta + offsets serves both regimes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,7 +27,10 @@ DEFAULT_THETA_MIN = 1e-6
 @dataclass(frozen=True)
 class LikelihoodContext:
     """Frozen per-dataset state: increments, their transform, the noise
-    plug-in (0 means the no-noise regime) and the parameter bounds."""
+    plug-in (0 means the no-noise regime), the parameter bounds, and the
+    spectrum lam = theta*delta + offsets with multiplicity ``mult`` and
+    coordinate mass ``R2``: R**2 and mult 1 with noise; one eigenvalue
+    (offsets [0], R2 [sum(dY^2)], mult n) without."""
 
     dY: np.ndarray
     R: np.ndarray
@@ -33,19 +39,18 @@ class LikelihoodContext:
     sigma_eps2: float
     theta_min: float
     theta_max: float
-    one_minus_cos: np.ndarray  # 1 - cos(j*pi/(n+1)), j = 1..n
+    offsets: np.ndarray
+    R2: np.ndarray
+    mult: int
 
     @property
     def horizon(self) -> float:
         return self.n * self.delta
 
-    @property
-    def sum_sq(self) -> float:
-        return float(np.sum(self.dY**2))
-
-    def noise_offsets(self) -> np.ndarray:
-        """2 * sigma_eps2 * (1 - cos(j*pi/(n+1))), the theta-free part of lambda_j."""
-        return 2.0 * self.sigma_eps2 * self.one_minus_cos
+    @cached_property
+    def fit(self) -> MLEResult:
+        """The quasi-MLE, solved on first use and kept for the context's life."""
+        return _solve_mle(self)
 
 
 def make_context(
@@ -63,27 +68,34 @@ def make_context(
         raise ConfigurationError("empty increment vector")
     if delta <= 0:
         raise ConfigurationError("delta must be > 0")
-    if sigma_eps2 is None:
-        sigma_eps2 = float(np.sum(dY**2) / (2 * n))
+    sum_sq = float(np.sum(dY**2))
+    sigma_eps2 = sum_sq / (2 * n) if sigma_eps2 is None else float(sigma_eps2)
     if sigma_eps2 < 0:
         raise ConfigurationError("sigma_eps2 must be >= 0")
     if theta_min <= 0:
         raise ConfigurationError("theta_min must be > 0")
-    qv_guess = float(np.sum(dY**2) / (n * delta))
     if theta_max is None:
-        theta_max = max(1e3 * qv_guess, 1e4 * theta_min)
+        theta_max = max(1e3 * (sum_sq / (n * delta)), 1e4 * theta_min)
     if theta_max <= theta_min:
         raise ConfigurationError("theta_max must exceed theta_min")
-    j = np.arange(1, n + 1)
+    R = apply_transform(dY, delta).R
+    if sigma_eps2 == 0.0:
+        offsets, R2, mult = np.zeros(1), np.array([sum_sq]), n
+    else:
+        j = np.arange(1, n + 1)
+        offsets = 2.0 * sigma_eps2 * (1.0 - np.cos(j * np.pi / (n + 1)))
+        R2, mult = R**2, 1
     return LikelihoodContext(
         dY=dY,
-        R=apply_transform(dY, delta).R,
+        R=R,
         n=n,
         delta=delta,
-        sigma_eps2=float(sigma_eps2),
+        sigma_eps2=sigma_eps2,
         theta_min=theta_min,
         theta_max=theta_max,
-        one_minus_cos=1.0 - np.cos(j * np.pi / (n + 1)),
+        offsets=offsets,
+        R2=R2,
+        mult=mult,
     )
 
 
@@ -97,33 +109,24 @@ def _check_theta(theta: float, ctx: LikelihoodContext) -> None:
 def loglik(theta: float, ctx: LikelihoodContext) -> float:
     """Quasi-log-likelihood -1/2 sum_j [log lambda_j + R_j^2/lambda_j]."""
     _check_theta(theta, ctx)
-    if ctx.sigma_eps2 == 0.0:
-        lam = theta * ctx.delta
-        return -0.5 * (ctx.n * np.log(lam) + ctx.sum_sq / lam)
-    lam = theta * ctx.delta + ctx.noise_offsets()
-    return float(-0.5 * np.sum(np.log(lam) + ctx.R**2 / lam))
+    lam = theta * ctx.delta + ctx.offsets
+    return float(-0.5 * (ctx.mult * np.log(lam).sum() + (ctx.R2 / lam).sum()))
 
 
 def score(theta: float, ctx: LikelihoodContext) -> float:
     """Normalized score -(1/2n) sum_j [1/lambda_j - R_j^2/lambda_j^2];
     equals (d loglik/d theta) / horizon, so its scale is n-free."""
     _check_theta(theta, ctx)
-    if ctx.sigma_eps2 == 0.0:
-        lam = theta * ctx.delta
-        return -0.5 / ctx.n * (ctx.n / lam - ctx.sum_sq / lam**2)
-    lam = theta * ctx.delta + ctx.noise_offsets()
-    return float(-0.5 / ctx.n * np.sum(1.0 / lam - ctx.R**2 / lam**2))
+    lam = theta * ctx.delta + ctx.offsets
+    return float(-0.5 / ctx.n * np.sum(ctx.mult / lam - ctx.R2 / lam**2))
 
 
 def loglik_hess(theta: float, ctx: LikelihoodContext) -> float:
     """Analytic d^2 loglik / d theta^2 (used for Laplace calibration)."""
     _check_theta(theta, ctx)
     d = ctx.delta
-    if ctx.sigma_eps2 == 0.0:
-        lam = theta * d
-        return 0.5 * ctx.n * (d / lam) ** 2 - ctx.sum_sq * d**2 / lam**3
-    lam = theta * d + ctx.noise_offsets()
-    return float(np.sum(0.5 * d**2 / lam**2 - ctx.R**2 * d**2 / lam**3))
+    lam = theta * d + ctx.offsets
+    return float(np.sum(0.5 * ctx.mult * d**2 / lam**2 - ctx.R2 * d**2 / lam**3))
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,19 @@ class MLEResult:
 
 
 def mle(ctx: LikelihoodContext) -> MLEResult:
-    """Quasi-MLE of theta.
+    """Quasi-MLE of theta, solved once per context (``ctx.fit``).
 
     No-noise regime: closed form sum(dY^2)/horizon. Noise regime: the score
     is bracketed on a log-spaced grid over (theta_min, theta_max) and the
     root polished by a safeguarded solver; if no sign change exists, the
     better bound is reported with ``boundary=True`` instead of failing.
     """
+    return ctx.fit
+
+
+def _solve_mle(ctx: LikelihoodContext) -> MLEResult:
     if ctx.sigma_eps2 == 0.0:
-        ss = ctx.sum_sq
+        ss = float(ctx.R2[0])
         if ss == 0.0:
             raise DegenerateDataError(
                 "all increments are zero; the no-noise MLE (0) lies outside the domain"

@@ -21,7 +21,7 @@ from scipy.special import gammainccinv
 from scipy.stats import gaussian_kde, invgamma, norm
 
 from .errors import ConfigurationError
-from .likelihood import LikelihoodContext, loglik_hess, mle
+from .likelihood import LikelihoodContext, loglik, loglik_hess, mle
 from .rng import stream
 
 # ---------------------------------------------------------------------------
@@ -297,26 +297,11 @@ def tempered_posterior_mcmc(
     theta0 = mle(ctx).theta
     theta0 = float(np.clip(theta0, lo * (1 + 1e-6) if lo > 0 else ctx.theta_min, hi * (1 - 1e-6)))
 
-    delta = ctx.delta
-    offsets = ctx.noise_offsets()
-    R2 = ctx.R**2
-    n = ctx.n
-    sum_sq = ctx.sum_sq
-    no_noise = ctx.sigma_eps2 == 0.0
-    lam_buf = np.empty(n)  # per-chain scratch for the noisy branch
-    work = np.empty(n)
-
     def log_target(theta: float) -> float:
         # tempered quasi-likelihood + prior + log-scale Jacobian
         if not lo < theta < hi:
             return -np.inf
-        if no_noise:
-            lam = theta * delta
-            ll = -0.5 * (n * np.log(lam) + sum_sq / lam)
-        else:
-            lam = np.add(offsets, theta * delta, out=lam_buf)
-            ll = -0.5 * (np.log(lam, out=work).sum() + np.divide(R2, lam, out=work).sum())
-        return ll / kappa + prior.logpdf(theta) + np.log(theta)
+        return loglik(theta, ctx) / kappa + prior.logpdf(theta) + np.log(theta)
 
     curv = -loglik_hess(theta0, ctx)
     if chain.proposal_sd is not None:

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dst
 
-# direct O(n^2) product below this size; fast DST above
-FAST_TRANSFORM_CUTOFF = 512
-
-
 @dataclass(frozen=True)
 class TransformedData:
     """Decorrelated coordinates R with grid metadata. ``sigma_eps2`` is the
@@ -38,32 +34,22 @@ def transform_entry(n: int, i: int, j: int) -> float:
 
 
 def transform_matrix(n: int) -> np.ndarray:
-    """Dense sine matrix; O(n^2) memory, used as the oracle for the fast path."""
+    """Dense sine matrix; O(n^2) memory, used as the test oracle for
+    `apply_transform`."""
     i = np.arange(1, n + 1)
     arg = 2.0 * np.pi * np.mod(np.outer(i, i) / (2.0 * (n + 1)), 1.0)
     return np.sqrt(2.0 / (n + 1)) * np.sin(arg)
 
 
-def apply_transform(dY: np.ndarray, delta: float, method: str = "auto") -> TransformedData:
-    """Map increments to decorrelated coordinates R.
-
-    method: 'direct' multiplies by the dense matrix, 'fft' uses the
-    orthonormal type-I discrete sine transform (identical up to rounding),
-    'auto' picks 'fft' above FAST_TRANSFORM_CUTOFF.
-    """
+def apply_transform(dY: np.ndarray, delta: float) -> TransformedData:
+    """Map increments to decorrelated coordinates R by the orthonormal
+    type-I discrete sine transform, which is the product with
+    `transform_matrix` (identical up to rounding) in O(n log n)."""
     dY = np.asarray(dY, dtype=np.float64)
     n = dY.size
     if n == 0:
         raise ValueError("empty input")
-    if method == "auto":
-        method = "fft" if n > FAST_TRANSFORM_CUTOFF else "direct"
-    if method == "direct":
-        R = transform_matrix(n) @ dY
-    elif method == "fft":
-        R = dst(dY, type=1, norm="ortho")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return TransformedData(R=R, n=n, delta=delta)
+    return TransformedData(R=dst(dY, type=1, norm="ortho"), n=n, delta=delta)
 
 
 def eigen_variance(theta: float, sigma2: float, n: int, delta: float, j) -> np.ndarray | float:

@@ -1,11 +1,14 @@
 import csv
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levyvol import ModelSpec, NoJumps
+import levyvol.experiments
+import levyvol.likelihood
+from levyvol import ConfigurationError, ModelSpec, NoJumps, PreavgConfig, simulate_path
 from levyvol.cli import main
 from levyvol.experiments import (
     EXPERIMENTS,
@@ -53,6 +56,23 @@ def test_config_round_trip_keeps_every_chain_field():
     assert back == cfg
 
 
+def test_config_refuses_a_weight_it_cannot_name():
+    def cosine(s):
+        return np.sin(np.pi * s)
+
+    cfg = replace(_tiny("coverage-noise"), preavg=PreavgConfig(weight=cosine))
+    with pytest.raises(ConfigurationError, match="triangle"):
+        run(cfg)
+
+
+def test_config_weight_is_written_by_name():
+    d = default_config("coverage-noise").to_dict()
+    assert d["preavg"]["weight"] == "triangle"
+    d["preavg"]["weight"] = "cosine"
+    with pytest.raises(ConfigurationError, match="cosine"):
+        config_from_dict(d)
+
+
 def test_config_partial_override_keeps_design_jump():
     cfg = config_from_dict({"experiment": "bias-study", "model": {"n": 777}})
     assert cfg.model.n == 777
@@ -95,6 +115,15 @@ def test_run_records_failures_and_flags():
     assert res.summary["failures"] == 3
     assert res.summary["too_many_failures"]
     assert all("DegenerateDataError" in r["error"] for r in res.rows)
+
+
+def test_run_aborts_on_a_programming_error(monkeypatch):
+    def broken(cfg, rep):
+        raise TypeError("not a data failure")
+
+    monkeypatch.setitem(levyvol.experiments._WORKERS, "bias-study", broken)
+    with pytest.raises(TypeError, match="not a data failure"):
+        run(_tiny("bias-study"))
 
 
 def test_failed_rows_written_with_reason(tmp_path):
@@ -143,6 +172,37 @@ def test_coverage_noise_pipeline_small():
     assert res.summary["failures"] == 0
     assert "acceptance_rate" in res.rows[0]
     assert "theta_hat_bias" in res.summary["results"]
+
+
+def _count_calls(monkeypatch, fn, counts):
+    """Wrap ``fn`` under every name a levyvol module binds it to."""
+
+    def counted(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("levyvol"):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_coverage_noise_replication_fits_each_half_once(monkeypatch):
+    # split prior: the full sample carries the Wald reference, the second
+    # half the likelihood; each gets one context and one quasi-MLE solve
+    cfg = replace(_tiny("coverage-noise", n=3000), replications=1)
+    dY = simulate_path(cfg.model, cfg.master_seed, 0, cfg.m_aux).dY
+    counts = {"make_context": 0, "score": 0}
+    _count_calls(monkeypatch, levyvol.likelihood.score, counts)
+    for data in (dY, dY[(dY.size + 1) // 2 :]):
+        levyvol.likelihood.mle(levyvol.likelihood.make_context(data, cfg.model.delta))
+    two_solves = counts["score"]
+    _count_calls(monkeypatch, levyvol.likelihood.make_context, counts)
+    counts.update(make_context=0, score=0)
+    assert run(cfg).summary["failures"] == 0
+    assert counts["make_context"] == 2
+    assert counts["score"] == two_solves
 
 
 def test_rate_check_rows_and_slopes():

@@ -31,18 +31,25 @@ def test_loglik_single_datum():
     assert loglik(th, ctx) == pytest.approx(expected, rel=1e-14)
 
 
-def test_loglik_matches_naive_summation():
-    path = _noise_path(0.4, 0.02, 1000, seed=2)
-    ctx = make_context(path.dY, 1e-3)
-    th = 0.35
-    # literal term-by-term summation, scalar python arithmetic
+@pytest.mark.parametrize("sigma_eps2", [0.0, None], ids=["no-noise", "noise"])
+def test_kernel_matches_naive_summation(sigma_eps2):
+    # literal term-by-term sums over the spectrum, scalar python arithmetic;
+    # without noise every eigenvalue is theta*delta and sum R_j^2 = sum dY^2
     import math
 
-    total = 0.0
+    path = _noise_path(0.4, 0.02, 1000, seed=2)
+    ctx = make_context(path.dY, 1e-3, sigma_eps2=sigma_eps2)
+    th, d = 0.35, ctx.delta
+    ll = sc = hess = 0.0
     for j in range(1, ctx.n + 1):
-        lam = th * ctx.delta + 2 * ctx.sigma_eps2 * (1 - math.cos(j * math.pi / (ctx.n + 1)))
-        total += -0.5 * (math.log(lam) + float(ctx.R[j - 1]) ** 2 / lam)
-    assert loglik(th, ctx) == pytest.approx(total, rel=1e-12)
+        lam = th * d + 2 * ctx.sigma_eps2 * (1 - math.cos(j * math.pi / (ctx.n + 1)))
+        r2 = float(ctx.R[j - 1]) ** 2
+        ll += -0.5 * (math.log(lam) + r2 / lam)
+        sc += -0.5 / ctx.n * (1 / lam - r2 / lam**2)
+        hess += 0.5 * d**2 / lam**2 - r2 * d**2 / lam**3
+    assert loglik(th, ctx) == pytest.approx(ll, rel=1e-12)
+    assert score(th, ctx) == pytest.approx(sc, rel=1e-12)
+    assert loglik_hess(th, ctx) == pytest.approx(hess, rel=1e-12)
 
 
 def test_no_noise_loglik_concave_in_inverse_theta():
@@ -185,8 +192,12 @@ def test_analytic_hessian_matches_finite_difference():
 
 
 def test_loglik_depends_on_order_through_transform():
-    # permuting raw increments changes R and hence the noise-regime loglik
+    # permuting raw increments changes R and hence the noise-regime loglik.
+    # Reversal is the exception: it maps R_j to (-1)^(j+1) R_j, so R_j^2 and
+    # the loglik stay the same up to rounding.
     path = _noise_path(0.4, 0.02, 500, seed=10)
     ctx1 = make_context(path.dY, 1.0 / 500)
-    ctx2 = make_context(path.dY[::-1].copy(), 1.0 / 500)
-    assert loglik(0.4, ctx1) != loglik(0.4, ctx2)
+    ctx2 = make_context(np.random.default_rng(0).permutation(path.dY), 1.0 / 500)
+    ctx_rev = make_context(path.dY[::-1].copy(), 1.0 / 500)
+    assert loglik(0.4, ctx1) != pytest.approx(loglik(0.4, ctx2), rel=1e-6)
+    assert loglik(0.4, ctx_rev) == pytest.approx(loglik(0.4, ctx1), rel=1e-12)
