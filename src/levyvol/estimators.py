@@ -8,7 +8,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -71,13 +70,11 @@ def _triangle_deriv(s):
 
 @dataclass(frozen=True)
 class PreavgConfig:
-    """Pre-averaging tuning: weight g on [0,1] (g(0)=g(1)=0), block constant c
-    giving k_n = floor(c / sqrt(delta)), and the jump-threshold rule
-    u_n = threshold_mult * sqrt(c1*theta_pilot + c2*sigma_eps2_hat) * n^-threshold_exponent,
-    a studentized multiple of the windowed-sum standard deviation."""
+    """Pre-averaging tuning: the weight is the triangle g(s) = min(s, 1 - s);
+    block constant c gives k_n = floor(c / sqrt(delta)), and the jump-threshold rule
+    u_n = threshold_mult * sqrt(c1*theta_pilot + c2*sigma_eps2_hat) * n^-threshold_exponent
+    is a studentized multiple of the windowed-sum standard deviation."""
 
-    weight: Callable = _triangle
-    weight_deriv: Optional[Callable] = _triangle_deriv
     block_constant: float = 1.0 / 3.0
     threshold_exponent: float = 0.2
     threshold_mult: float = 4.0
@@ -89,17 +86,6 @@ class PreavgConfig:
             raise ConfigurationError(
                 f"threshold_exponent must lie in (1/9, 1/4), got {self.threshold_exponent}"
             )
-        if abs(self.weight(0.0)) > 1e-12 or abs(self.weight(1.0)) > 1e-12:
-            raise ConfigurationError("weight must vanish at 0 and 1")
-
-    def deriv(self) -> Callable:
-        if self.weight_deriv is not None:
-            return self.weight_deriv
-        g = self.weight
-        h = 1e-7
-        return lambda s: (g(np.minimum(s + h, 1.0)) - g(np.maximum(s - h, 0.0))) / (
-            np.minimum(s + h, 1.0) - np.maximum(s - h, 0.0)
-        )
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,7 @@ def phi_constants(cfg: PreavgConfig, rule: str = "adaptive") -> PhiConstants:
     exists so results can be cross-checked against an independent rule.
     """
     cfg.validate()
-    g, gp, c = cfg.weight, cfg.deriv(), cfg.block_constant
+    g, gp, c = _triangle, _triangle_deriv, cfg.block_constant
     integ = _quad if rule == "adaptive" else _gauss
 
     def inner(x, f):
@@ -175,7 +161,7 @@ def window_weights(k: int, cfg: PreavgConfig) -> np.ndarray:
     """Pre-averaging weights g(j/k), j = 1..k-1."""
     if k < 2:
         raise ConfigurationError(f"block length k must be >= 2, got {k}")
-    return np.asarray(cfg.weight(np.arange(1, k) / k), dtype=np.float64)
+    return np.asarray(_triangle(np.arange(1, k) / k), dtype=np.float64)
 
 
 def preavg_windows(dY: np.ndarray, k: int, cfg: PreavgConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -71,6 +71,7 @@ EXPERIMENTS = (
     "rate-check",
     "compare-full-bayes",
 )
+PRIOR_FAMILIES = ("inverse-gamma", "truncated-normal", "uniform", "exponential")
 
 KAPPA_FLOOR = 1e-12
 
@@ -133,6 +134,7 @@ class ExperimentConfig:
     dump_chains: bool = False
 
     def validate(self) -> None:
+        """Refuse, before any replication runs, a design every one would fail on."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
@@ -143,124 +145,90 @@ class ExperimentConfig:
             raise ConfigurationError("level must be in (0, 1)")
         self.model.validate()
         self.preavg.validate()
-        # the config schema names only the default weight; another one would
-        # be written out as "triangle" and reload as a different design
-        default = PreavgConfig()
-        if (self.preavg.weight, self.preavg.weight_deriv) != (default.weight, default.weight_deriv):
+        if self.prior.family not in PRIOR_FAMILIES:
             raise ConfigurationError(
-                "experiments support only the default triangle pre-averaging weight"
+                f"unknown prior family {self.prior.family!r}; pick one of {PRIOR_FAMILIES}"
             )
+        if self.experiment == "compare-full-bayes":
+            self.joint_priors.validate()
+            GibbsConfig(self.chain.total, self.chain.burn_in).validate()
+        elif self.model.sigma_eps > 0 and self.experiment not in ("bias-study", "rate-check"):
+            self.chain.validate()  # fit_noise runs the Metropolis chain
 
     def to_dict(self) -> dict:
-        jump = self.model.jump
-        if isinstance(jump, NoJumps):
-            jump_d = {"kind": "none"}
-        elif isinstance(jump, CompoundPoisson):
-            jump_d = {"kind": "compound-poisson", **asdict(jump)}
-        elif isinstance(jump, VarianceGamma):
-            jump_d = {"kind": "variance-gamma", **asdict(jump)}
-        elif isinstance(jump, TrimmedStable):
-            jump_d = {"kind": "trimmed-stable", **asdict(jump)}
-        else:
-            raise ConfigurationError(f"unserializable jump spec {jump!r}")
-        model_d = {
-            "mu": self.model.mu,
-            "theta": self.model.theta,
-            "sigma_eps": self.model.sigma_eps,
-            "horizon": self.model.horizon,
-            "n": self.model.n,
-            "jump": jump_d,
-        }
-        return {
-            "experiment": self.experiment,
-            "model": model_d,
-            "w": self.w,
-            "bg_index": self.bg_index,
-            "kappa_mode": self.kappa_mode,
-            "preavg": {
-                "weight": "triangle",
-                "block_constant": self.preavg.block_constant,
-                "threshold_exponent": self.preavg.threshold_exponent,
-                "threshold_mult": self.preavg.threshold_mult,
-            },
-            "prior": asdict(self.prior),
-            "chain": asdict(self.chain),
-            "joint_priors": asdict(self.joint_priors),
-            "split_prior": self.split_prior,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "level": self.level,
-            "m_aux": self.m_aux,
-            "n_grid": list(self.n_grid),
-            "jobs": self.jobs,
-            "out_dir": self.out_dir,
-            "dump_paths": self.dump_paths,
-            "dump_chains": self.dump_chains,
-        }
+        return _to_data(self)
 
 
-def _jump_from_dict(d: dict):
-    kind = d.get("kind", "none")
-    params = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "none":
-        return NoJumps()
-    if kind == "compound-poisson":
-        return CompoundPoisson(**params)
-    if kind == "variance-gamma":
-        return VarianceGamma(**params)
-    if kind == "trimmed-stable":
-        return TrimmedStable(**params)
-    raise ConfigurationError(f"unknown jump kind {kind!r}")
+JUMP_KINDS = {
+    "none": NoJumps,
+    "compound-poisson": CompoundPoisson,
+    "variance-gamma": VarianceGamma,
+    "trimmed-stable": TrimmedStable,
+}
+_KIND_OF = {cls: kind for kind, cls in JUMP_KINDS.items()}
+
+
+def _to_data(obj):
+    """JSON-compatible form of a config value: a dataclass becomes a dict of
+    its fields, led by ``"kind"`` for a jump spec; a tuple becomes a list."""
+    if is_dataclass(obj):
+        d = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+        d.update((f.name, _to_data(getattr(obj, f.name))) for f in fields(obj))
+        return d
+    if isinstance(obj, tuple):
+        return [_to_data(v) for v in obj]
+    return obj
+
+
+def _from_data(cls, d, base, where: str):
+    """Instance of the dataclass ``cls`` from the JSON object ``d`` at ``where``:
+    omitted fields keep their value in ``base``, a nested object merges into
+    the config of ``base`` it names, and a jump spec of another ``"kind"`` is
+    built from its own fields alone."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be an object, got {d!r}")
+    d = dict(d)
+    if type(base) in _KIND_OF:
+        kind = d.pop("kind", _KIND_OF[type(base)])
+        cls = JUMP_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigurationError(f"unknown jump kind {kind!r} in {where}")
+        if cls is not type(base):
+            base = None
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown field(s) {unknown} in {where}")
+    if base is None:  # a jump spec of a new kind; none has a default_factory
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigurationError(f"missing field(s) {missing} in {where}")
+    for name, value in d.items():
+        old = getattr(base, name, None)
+        if is_dataclass(old):
+            d[name] = _from_data(type(old), value, old, f"{where}.{name}")
+        elif isinstance(old, tuple):
+            if not isinstance(value, list):
+                raise ConfigurationError(f"{where}.{name} must be a list, got {value!r}")
+            d[name] = tuple(value)
+    return cls(**d) if base is None else replace(base, **d)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from a JSON-compatible dict; unspecified fields keep the
-    defaults of the named experiment."""
+    defaults of the named experiment. Unknown fields are refused."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config must be an object, got {d!r}")
     base = default_config(d.get("experiment", "single-path"))
-    kwargs = {}
-    if "model" in d:
-        m = dict(d["model"])
-        jump = _jump_from_dict(m.pop("jump")) if "jump" in m else base.model.jump
-        base_model = asdict(base.model)
-        base_model.pop("jump", None)
-        base_model.update(m)
-        kwargs["model"] = ModelSpec(jump=jump, **base_model)
-    if "preavg" in d:
-        preavg = dict(d["preavg"])
-        weight = preavg.pop("weight", "triangle")
-        if weight != "triangle":
-            raise ConfigurationError(f"unknown pre-averaging weight {weight!r}; only 'triangle' exists")
-        kwargs["preavg"] = replace(base.preavg, **preavg)
-    if "prior" in d:
-        kwargs["prior"] = replace(base.prior, **d["prior"])
-    if "chain" in d:
-        kwargs["chain"] = replace(base.chain, **d["chain"])
-    if "joint_priors" in d:
-        kwargs["joint_priors"] = replace(base.joint_priors, **d["joint_priors"])
-    if "n_grid" in d:
-        kwargs["n_grid"] = tuple(d["n_grid"])
-    for key in (
-        "w",
-        "bg_index",
-        "kappa_mode",
-        "split_prior",
-        "replications",
-        "master_seed",
-        "level",
-        "m_aux",
-        "jobs",
-        "out_dir",
-        "dump_paths",
-        "dump_chains",
-    ):
-        if key in d:
-            kwargs[key] = d[key]
-    return replace(base, **kwargs)
+    return _from_data(ExperimentConfig, d, base, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+    return config_from_dict(d)
 
 
 # named baseline designs -----------------------------------------------------
@@ -600,13 +568,7 @@ class CoverageResult:
         return float(np.sqrt(p * (1 - p) / self.replications))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coverage": self.coverage,
-            "mean_width": self.mean_width,
-            "replications": self.replications,
-            "mc_se": self.mc_se,
-        }
+        return {**_to_data(self), "mc_se": self.mc_se}
 
 
 def _coverage_summary(rows: list[dict], level: float) -> dict:

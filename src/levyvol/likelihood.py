@@ -26,14 +26,13 @@ DEFAULT_THETA_MIN = 1e-6
 
 @dataclass(frozen=True)
 class LikelihoodContext:
-    """Frozen per-dataset state: increments, their transform, the noise
-    plug-in (0 means the no-noise regime), the parameter bounds, and the
-    spectrum lam = theta*delta + offsets with multiplicity ``mult`` and
-    coordinate mass ``R2``: R**2 and mult 1 with noise; one eigenvalue
-    (offsets [0], R2 [sum(dY^2)], mult n) without."""
+    """Frozen per-dataset state: increments, the noise plug-in (0 means the
+    no-noise regime), the parameter bounds, and the spectrum
+    lam = theta*delta + offsets with multiplicity ``mult`` and coordinate
+    mass ``R2``: R**2 and mult 1 with noise; one eigenvalue (offsets [0],
+    R2 [sum(dY^2)], mult n) without."""
 
     dY: np.ndarray
-    R: np.ndarray
     n: int
     delta: float
     sigma_eps2: float
@@ -46,6 +45,11 @@ class LikelihoodContext:
     @property
     def horizon(self) -> float:
         return self.n * self.delta
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """Transformed increments, on first use: the no-noise kernel never reads them."""
+        return apply_transform(self.dY, self.delta).R
 
     @cached_property
     def fit(self) -> MLEResult:
@@ -78,16 +82,14 @@ def make_context(
         theta_max = max(1e3 * (sum_sq / (n * delta)), 1e4 * theta_min)
     if theta_max <= theta_min:
         raise ConfigurationError("theta_max must exceed theta_min")
-    R = apply_transform(dY, delta).R
     if sigma_eps2 == 0.0:
         offsets, R2, mult = np.zeros(1), np.array([sum_sq]), n
     else:
         j = np.arange(1, n + 1)
         offsets = 2.0 * sigma_eps2 * (1.0 - np.cos(j * np.pi / (n + 1)))
-        R2, mult = R**2, 1
+        R2, mult = apply_transform(dY, delta).R ** 2, 1
     return LikelihoodContext(
         dY=dY,
-        R=R,
         n=n,
         delta=delta,
         sigma_eps2=sigma_eps2,

@@ -1,20 +1,33 @@
 import csv
 import json
+import re
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levyvol.experiments
 import levyvol.likelihood
-from levyvol import ConfigurationError, ModelSpec, NoJumps, PreavgConfig, simulate_path
+from levyvol import (
+    CompoundPoisson,
+    ConfigurationError,
+    ModelSpec,
+    NoJumps,
+    TrimmedStable,
+    VarianceGamma,
+    simulate_path,
+)
 from levyvol.cli import main
 from levyvol.experiments import (
     EXPERIMENTS,
+    PRIOR_FAMILIES,
     config_from_dict,
     default_config,
     emit_plot_data,
+    load_config,
     run,
 )
 
@@ -56,21 +69,133 @@ def test_config_round_trip_keeps_every_chain_field():
     assert back == cfg
 
 
-def test_config_refuses_a_weight_it_cannot_name():
-    def cosine(s):
-        return np.sin(np.pi * s)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_jumps = st.one_of(
+    st.just(NoJumps()),
+    st.builds(
+        CompoundPoisson,
+        rate=_finite,
+        lo=_finite,
+        hi=_finite,
+        bernoulli_approx=st.booleans(),
+        center=st.booleans(),
+    ),
+    st.builds(
+        VarianceGamma,
+        drift=_finite,
+        diffusion=_finite,
+        subordinator_scale=_finite,
+        center=st.booleans(),
+    ),
+    st.builds(
+        TrimmedStable,
+        index=_finite,
+        scale=_finite,
+        trim_fraction=_finite,
+        center=st.booleans(),
+    ),
+)
 
-    cfg = replace(_tiny("coverage-noise"), preavg=PreavgConfig(weight=cosine))
-    with pytest.raises(ConfigurationError, match="triangle"):
-        run(cfg)
+
+@st.composite
+def _configs(draw):
+    base = default_config(draw(st.sampled_from(EXPERIMENTS)))
+    chain = replace(
+        base.chain,
+        adapt=draw(st.booleans()),
+        proposal_sd=draw(st.none() | _finite),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+    )
+    prior = replace(
+        base.prior,
+        family=draw(st.sampled_from(PRIOR_FAMILIES)),
+        shape=draw(_finite),
+        center=draw(st.none() | _finite),
+        sd=draw(_finite),
+        hi=draw(_finite),
+    )
+    return replace(
+        base,
+        model=replace(base.model, jump=draw(_jumps)),
+        chain=chain,
+        prior=prior,
+        n_grid=tuple(draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_config_round_trips_through_json(cfg):
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_weight_is_written_by_name():
+    # the weight is the fixed triangle, so a config names no weight at all
     d = default_config("coverage-noise").to_dict()
-    assert d["preavg"]["weight"] == "triangle"
-    d["preavg"]["weight"] = "cosine"
-    with pytest.raises(ConfigurationError, match="cosine"):
+    assert "weight" not in d["preavg"]
+    with pytest.raises(ConfigurationError, match=re.escape("['weight'] in config.preavg")):
+        config_from_dict({"preavg": {"weight": "cosine"}})
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"experiment": "bias-study", "replication": 5}, "['replication'] in config"),
+        ({"prior": {"shap": 2.0}}, "['shap'] in config.prior"),
+        ({"model": {"jump": {"drfit": 0.1}}}, "['drfit'] in config.model.jump"),
+        ({"model": {"jump": {"kind": "gauss"}}}, "jump kind 'gauss' in config.model.jump"),
+        (
+            {"model": {"jump": {"kind": "compound-poisson"}}},
+            "missing field(s) ['rate'] in config.model.jump",
+        ),
+        ({"model": 5}, "config.model must be an object"),
+        ({"n_grid": 1000}, "config.n_grid must be a list"),
+        ([1, 2], "config must be an object"),
+    ],
+    ids=[
+        "top-level-key",
+        "nested-key",
+        "jump-key",
+        "jump-kind",
+        "jump-required",
+        "not-an-object",
+        "not-a-list",
+        "not-a-dict",
+    ],
+)
+def test_config_refuses_malformed_input(d, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         config_from_dict(d)
+
+
+def test_config_jump_merges_into_the_design_jump_of_its_kind():
+    design = default_config("single-path").model.jump
+    cfg = config_from_dict({"model": {"jump": {"drift": -0.5}}})
+    assert cfg.model.jump == replace(design, drift=-0.5)
+    cfg = config_from_dict({"model": {"jump": {"kind": "variance-gamma", "drift": -0.5}}})
+    assert cfg.model.jump == replace(design, drift=-0.5)
+    cfg = config_from_dict({"model": {"jump": {"kind": "compound-poisson", "rate": 3.0}}})
+    assert cfg.model.jump == CompoundPoisson(rate=3.0)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"experiment": "coverage-noise", "prior": {"family": "gamma"}},
+        {"experiment": "coverage-noise", "chain": {"total": 1500, "burn_in": 1000}},
+        {"experiment": "compare-full-bayes", "joint_priors": {"p_a": -1}},
+    ],
+    ids=["prior-family", "short-chain", "joint-prior"],
+)
+def test_config_errors_are_refused_before_any_replication(d):
+    with pytest.raises(ConfigurationError):
+        run(config_from_dict({**d, "replications": 2}))
+
+
+def test_short_gibbs_chain_is_a_valid_design():
+    # the Gibbs reference has no 1000-draw floor; only the Metropolis chain has
+    cfg = default_config("compare-full-bayes")
+    replace(cfg, chain=replace(cfg.chain, total=400, burn_in=100)).validate()
 
 
 def test_config_partial_override_keeps_design_jump():
@@ -365,3 +490,13 @@ def test_cli_plotdata(tmp_path, capsys):
 def test_cli_bad_config_returns_2(capsys):
     assert main(["experiment"]) == 2
     capsys.readouterr()
+
+
+def test_cli_misspelled_config_field_returns_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "bias-study", "prior": {"shap": 2.0}}))
+    assert main(["experiment", "--config", str(cfg_file)]) == 2
+    assert "shap" in capsys.readouterr().err
+    cfg_file.write_text('{"experiment": ')
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        load_config(str(cfg_file))
