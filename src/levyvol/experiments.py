@@ -149,6 +149,19 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown prior family {self.prior.family!r}; pick one of {PRIOR_FAMILIES}"
             )
+        conjugate = self.experiment in ("bias-study", "compare-full-bayes") or (
+            self.model.sigma_eps == 0 and self.experiment != "rate-check"
+        )
+        if conjugate and self.prior.family != "inverse-gamma":
+            raise ConfigurationError(
+                f"{self.experiment} runs the no-noise conjugate pipeline, which needs "
+                f"an inverse-gamma prior, not {self.prior.family!r}"
+            )
+        if self.experiment == "rate-check":
+            if len(self.n_grid) < 2:
+                raise ConfigurationError("rate-check fits a slope: n_grid needs two sizes or more")
+            for n in self.n_grid:
+                replace(self.model, n=n).validate()
         if self.experiment == "compare-full-bayes":
             self.joint_priors.validate()
             GibbsConfig(self.chain.total, self.chain.burn_in).validate()
@@ -180,11 +193,32 @@ def _to_data(obj):
     return obj
 
 
+# the JSON values a scalar field of each annotated type accepts; a bool is
+# refused where a number belongs, though Python counts it as an int
+_JSON_SCALARS = {
+    "str": ((str,), "a string"),
+    "float": ((int, float), "a number"),
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def _check_scalar(value, annotation: str, where: str) -> None:
+    optional = annotation.startswith("Optional[")
+    name = annotation[len("Optional[") : -1] if optional else annotation
+    if name not in _JSON_SCALARS or (optional and value is None):
+        return
+    accepted, wanted = _JSON_SCALARS[name]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise ConfigurationError(f"{where} must be {wanted}, got {value!r}")
+
+
 def _from_data(cls, d, base, where: str):
     """Instance of the dataclass ``cls`` from the JSON object ``d`` at ``where``:
     omitted fields keep their value in ``base``, a nested object merges into
     the config of ``base`` it names, and a jump spec of another ``"kind"`` is
-    built from its own fields alone."""
+    built from its own fields alone. A scalar whose JSON type does not fit the
+    field's annotation is refused."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{where} must be an object, got {d!r}")
     d = dict(d)
@@ -202,6 +236,7 @@ def _from_data(cls, d, base, where: str):
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ConfigurationError(f"missing field(s) {missing} in {where}")
+    annotations = {f.name: f.type for f in fields(cls)}
     for name, value in d.items():
         old = getattr(base, name, None)
         if is_dataclass(old):
@@ -209,7 +244,11 @@ def _from_data(cls, d, base, where: str):
         elif isinstance(old, tuple):
             if not isinstance(value, list):
                 raise ConfigurationError(f"{where}.{name} must be a list, got {value!r}")
+            for i, v in enumerate(value):  # n_grid, the one tuple field, lists sample sizes
+                _check_scalar(v, "int", f"{where}.{name}[{i}]")
             d[name] = tuple(value)
+        else:
+            _check_scalar(value, annotations[name], f"{where}.{name}")
     return cls(**d) if base is None else replace(base, **d)
 
 

@@ -7,11 +7,14 @@ lambda_j(theta) = theta*delta + 2*sigma_eps2*(1 - cos(j*pi/(n+1))).
 With sigma_eps2 = 0 it collapses to i.i.d. N(0, theta*delta) increments: the
 spectrum is the single eigenvalue theta*delta with multiplicity n, and the
 maximizer is the scaled realized quadratic variation. One kernel over
-lam = theta*delta + offsets serves both regimes.
+lam = theta*delta + offsets serves both regimes; with noise, the log-likelihood
+takes sum_j log lambda_j from the closed-form determinant of the tridiagonal
+Toeplitz covariance instead of n logarithms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,11 +111,31 @@ def _check_theta(theta: float, ctx: LikelihoodContext) -> None:
         )
 
 
+def noise_log_det(a: float, s: float, n: int) -> float:
+    """log det(a*I + s*tridiag(-1, 2, -1)) of order n, for a, s > 0: the sum of
+    log(a + 2s(1 - cos(j*pi/(n+1)))) over j = 1..n in O(1).
+
+    With cosh(phi) = 1 + a/(2s) the determinant is s^n sinh((n+1)phi)/sinh(phi);
+    written through e^(phi/2) * sqrt(s) = (sqrt(a) + sqrt(a+4s))/2 and expm1, no
+    term overflows or cancels for any n, a/s.
+    """
+    phi = 2.0 * math.asinh(math.sqrt(a / (4.0 * s)))
+    return (
+        2 * n * math.log(0.5 * (math.sqrt(a) + math.sqrt(a + 4.0 * s)))
+        + math.log(-math.expm1(-2.0 * (n + 1) * phi))
+        - math.log(-math.expm1(-2.0 * phi))
+    )
+
+
 def loglik(theta: float, ctx: LikelihoodContext) -> float:
     """Quasi-log-likelihood -1/2 sum_j [log lambda_j + R_j^2/lambda_j]."""
     _check_theta(theta, ctx)
     lam = theta * ctx.delta + ctx.offsets
-    return float(-0.5 * (ctx.mult * np.log(lam).sum() + (ctx.R2 / lam).sum()))
+    if ctx.sigma_eps2 == 0.0:
+        log_det = ctx.mult * np.log(lam).sum()
+    else:
+        log_det = noise_log_det(theta * ctx.delta, ctx.sigma_eps2, ctx.n)
+    return float(-0.5 * (log_det + (ctx.R2 / lam).sum()))
 
 
 def score(theta: float, ctx: LikelihoodContext) -> float:
@@ -165,17 +188,21 @@ def _solve_mle(ctx: LikelihoodContext) -> MLEResult:
 
     lo, hi = ctx.theta_min, ctx.theta_max
     grid = np.geomspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 60)
-    vals = np.array([score(t, ctx) for t in grid])
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if sign_change.size == 0:
-        k = int(np.argmin(np.abs(vals)))
-        return MLEResult(
-            float(grid[k]), float(vals[k]), converged=False, boundary=True, regime="noise"
-        )
-    k = int(sign_change[0])
-    theta = brentq(lambda t: score(t, ctx), grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16)
+    # scanned in order up to the first sign change (a zero counts as one),
+    # the only bracket the root solver uses
+    vals = [score(grid[0], ctx)]
+    for k in range(grid.size - 1):
+        vals.append(score(grid[k + 1], ctx))
+        if np.sign(vals[k + 1]) != np.sign(vals[k]):
+            theta = brentq(
+                lambda t: score(t, ctx), grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16
+            )
+            return MLEResult(
+                float(theta), score(theta, ctx), converged=True, boundary=False, regime="noise"
+            )
+    k = int(np.argmin(np.abs(vals)))
     return MLEResult(
-        float(theta), score(theta, ctx), converged=True, boundary=False, regime="noise"
+        float(grid[k]), float(vals[k]), converged=False, boundary=True, regime="noise"
     )
 
 

@@ -16,9 +16,9 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammainccinv
-from scipy.stats import gaussian_kde, invgamma, norm
+from scipy.stats import invgamma, norm
 
 from .errors import ConfigurationError
 from .likelihood import LikelihoodContext, loglik, loglik_hess, mle
@@ -154,11 +154,14 @@ class AnalyticPosterior:
 
 @dataclass(frozen=True)
 class EmpiricalPosterior:
-    """MCMC representation: retained draws after burn-in, already shifted."""
+    """MCMC representation: retained draws after burn-in, already shifted,
+    and the mode of the target density, shifted with them (NaN for a bare
+    sample set)."""
 
     samples: np.ndarray
     kappa: float
     shift: float = 0.0
+    mode: float = np.nan
     acceptance_rate: float = np.nan
     chain_meta: dict = field(default_factory=dict)
     provenance: Optional[dict] = None
@@ -282,6 +285,10 @@ def tempered_posterior_mcmc(
     quasi-MLE and is rescaled once halfway through burn-in, then frozen so
     the retained chain is Markovian. Proposals outside the prior support are
     rejected, never raised. Deterministic given chain.seed.
+
+    The mode of loglik(theta)/kappa + log prior(theta) on the theta scale is
+    found by one bounded scalar search over the range of the retained draws,
+    to 1e-9 of their s.d. (scipy's search adds sqrt(eps)|theta| of its own).
     """
     chain.validate()
     if kappa <= 0:
@@ -333,6 +340,12 @@ def tempered_posterior_mcmc(
             sd *= float(np.clip(rate / 0.44, 0.2, 5.0))
 
     kept = np.exp(draws[chain.burn_in :])
+    mode = minimize_scalar(
+        lambda t: -(loglik(t, ctx) / kappa + prior.logpdf(t)),
+        bounds=(kept.min(), kept.max()),
+        method="bounded",
+        options={"xatol": 1e-9 * np.std(kept)},
+    ).x
     acc = accepted_kept / (chain.total - chain.burn_in)
     if not 0.05 <= acc <= 0.9:
         warnings.warn(
@@ -344,6 +357,7 @@ def tempered_posterior_mcmc(
         samples=kept,
         kappa=kappa,
         shift=0.0,
+        mode=float(mode),
         acceptance_rate=acc,
         chain_meta={
             "total": chain.total,
@@ -360,7 +374,12 @@ def adjust(posterior: Posterior, shift: float) -> Posterior:
         raise ConfigurationError("shift must be finite")
     if isinstance(posterior, AnalyticPosterior):
         return replace(posterior, shift=posterior.shift + shift)
-    return replace(posterior, samples=posterior.samples - shift, shift=posterior.shift + shift)
+    return replace(
+        posterior,
+        samples=posterior.samples - shift,
+        shift=posterior.shift + shift,
+        mode=posterior.mode - shift,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +519,6 @@ class PointEstimates:
     mean: float
     map: float
     mean_from_samples: bool = False
-    kde_bandwidth: Optional[float] = None
 
 
 def point_estimates(posterior: Posterior, seed: int = 0) -> PointEstimates:
@@ -508,7 +526,7 @@ def point_estimates(posterior: Posterior, seed: int = 0) -> PointEstimates:
 
     Analytic: closed forms; if the mean does not exist (shape <= 1) it is
     approximated from simulated draws and flagged. Empirical: sample mean,
-    and the mode of a Silverman-bandwidth Gaussian KDE for the MAP.
+    and the exact mode of the chain's target as the MAP.
     """
     if isinstance(posterior, AnalyticPosterior):
         if posterior.shape > 1:
@@ -518,13 +536,7 @@ def point_estimates(posterior: Posterior, seed: int = 0) -> PointEstimates:
         return PointEstimates(
             float(np.mean(draws)), posterior.map_point(), mean_from_samples=True
         )
-    s = posterior.samples
-    kde = gaussian_kde(s, bw_method="silverman")
-    grid = np.linspace(s.min(), s.max(), 1024)
-    dens = kde(grid)
-    mode = float(grid[np.argmax(dens)])
-    bw = float(kde.factor * np.std(s, ddof=1))
-    return PointEstimates(float(np.mean(s)), mode, kde_bandwidth=bw)
+    return PointEstimates(posterior.mean(), posterior.mode)
 
 
 def summarize(

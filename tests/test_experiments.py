@@ -168,6 +168,41 @@ def test_config_refuses_malformed_input(d, message):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"experiment": "bias-study", "replications": "2"}, "config.replications must be an integer"),
+        ({"replications": 2.5}, "config.replications must be an integer"),
+        ({"model": {"n": True}}, "config.model.n must be an integer"),
+        ({"w": "0.39"}, "config.w must be a number"),
+        ({"prior": {"center": False}}, "config.prior.center must be a number"),
+        ({"split_prior": 1}, "config.split_prior must be true or false"),
+        ({"prior": {"family": 3}}, "config.prior.family must be a string"),
+        ({"model": {"jump": {"kind": "compound-poisson", "rate": "5"}}}, "config.model.jump.rate"),
+        ({"n_grid": [1000, "4000"]}, "config.n_grid[1] must be an integer"),
+    ],
+    ids=[
+        "str-int",
+        "float-int",
+        "bool-int",
+        "str-float",
+        "bool-float",
+        "int-bool",
+        "int-str",
+        "jump",
+        "list-item",
+    ],
+)
+def test_config_refuses_values_of_the_wrong_type(d, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        config_from_dict(d)
+
+
+def test_config_accepts_an_integer_for_a_number_and_null_for_an_optional():
+    cfg = config_from_dict({"w": 1, "prior": {"center": None}, "out_dir": None})
+    assert cfg.w == 1 and cfg.prior.center is None and cfg.out_dir is None
+
+
 def test_config_jump_merges_into_the_design_jump_of_its_kind():
     design = default_config("single-path").model.jump
     cfg = config_from_dict({"model": {"jump": {"drift": -0.5}}})
@@ -184,12 +219,39 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         {"experiment": "coverage-noise", "prior": {"family": "gamma"}},
         {"experiment": "coverage-noise", "chain": {"total": 1500, "burn_in": 1000}},
         {"experiment": "compare-full-bayes", "joint_priors": {"p_a": -1}},
+        {"experiment": "bias-study", "model": {"n": 500}, "prior": {"family": "uniform"}},
+        {"experiment": "compare-full-bayes", "prior": {"family": "exponential"}},
+        {"experiment": "coverage-nonoise", "prior": {"family": "truncated-normal", "center": 0.3}},
+        {"experiment": "single-path", "prior": {"family": "uniform"}},
+        {"experiment": "coverage-noise", "model": {"sigma_eps": 0.0}, "prior": {"family": "uniform"}},
+        {"experiment": "rate-check", "n_grid": []},
+        {"experiment": "rate-check", "n_grid": [1000]},
+        {"experiment": "rate-check", "n_grid": [1000, 0]},
     ],
-    ids=["prior-family", "short-chain", "joint-prior"],
+    ids=[
+        "prior-family",
+        "short-chain",
+        "joint-prior",
+        "bias-study-conjugate",
+        "compare-conjugate",
+        "coverage-nonoise-conjugate",
+        "single-path-conjugate",
+        "noise-design-without-noise",
+        "rate-check-no-sizes",
+        "rate-check-one-size",
+        "rate-check-size-zero",
+    ],
 )
 def test_config_errors_are_refused_before_any_replication(d):
     with pytest.raises(ConfigurationError):
         run(config_from_dict({**d, "replications": 2}))
+
+
+def test_only_the_conjugate_pipeline_needs_an_inverse_gamma_prior():
+    base = {"prior": {"family": "uniform"}, "replications": 2}
+    config_from_dict({**base, "experiment": "coverage-noise"}).validate()
+    config_from_dict({**base, "experiment": "rate-check"}).validate()
+    config_from_dict({**base, "experiment": "single-path", "model": {"sigma_eps": 0.01}}).validate()
 
 
 def test_short_gibbs_chain_is_a_valid_design():
@@ -500,3 +562,10 @@ def test_cli_misspelled_config_field_returns_2(tmp_path, capsys):
     cfg_file.write_text('{"experiment": ')
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         load_config(str(cfg_file))
+
+
+def test_cli_config_value_of_wrong_type_returns_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": "bias-study", "replications": "2"}))
+    assert main(["experiment", "--config", str(cfg_file)]) == 2
+    assert "config.replications must be an integer" in capsys.readouterr().err

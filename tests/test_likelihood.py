@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from levyvol import (
     score,
     simulate_path,
 )
-from levyvol.likelihood import loglik_hess
+from levyvol.likelihood import MLEResult, loglik_hess, noise_log_det
 
 
 def _noise_path(theta, sig, n, seed, mu=0.0):
@@ -50,6 +52,32 @@ def test_kernel_matches_naive_summation(sigma_eps2):
     assert loglik(th, ctx) == pytest.approx(ll, rel=1e-12)
     assert score(th, ctx) == pytest.approx(sc, rel=1e-12)
     assert loglik_hess(th, ctx) == pytest.approx(hess, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.just(1), st.integers(1, 30000)),
+    log_a=st.floats(-14.0, 6.0),
+    log_s=st.floats(-12.0, 3.0),
+)
+def test_noise_log_det_matches_spectrum_sum(n, log_a, log_s):
+    # oracle: exactly rounded sum over the spectrum in the sin^2 form, which
+    # keeps the small-j eigenvalues that 1 - cos rounds away
+    a, s = 10.0**log_a, 10.0**log_s
+    want = math.fsum(
+        math.log(a + 4 * s * math.sin(j * math.pi / (2 * (n + 1))) ** 2) for j in range(1, n + 1)
+    )
+    bound = 1e-13 * n * (1 + abs(math.log(a)) + abs(math.log(s)))
+    assert abs(noise_log_det(a, s, n) - want) <= bound
+
+
+def test_no_noise_loglik_keeps_its_expression():
+    path = _noise_path(0.4, 0.0, 700, seed=12)
+    ctx = make_context(path.dY, 1.0 / 700, sigma_eps2=0.0)
+    for th in (0.05, 0.4, 3.0):
+        lam = th * ctx.delta + ctx.offsets
+        want = float(-0.5 * (ctx.mult * np.log(lam).sum() + (ctx.R2 / lam).sum()))
+        assert loglik(th, ctx) == want
 
 
 def test_no_noise_loglik_concave_in_inverse_theta():
@@ -152,6 +180,36 @@ def test_mle_noise_monte_carlo_center():
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - oracle) < 3 * se
     assert abs(vals.mean() - theta) < 0.05
+
+
+def _full_scan_mle(ctx):
+    # oracle: every grid score first, then the first sign change
+    grid = np.geomspace(ctx.theta_min * (1 + 1e-9), ctx.theta_max * (1 - 1e-9), 60)
+    vals = np.array([score(t, ctx) for t in grid])
+    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if sign_change.size == 0:
+        k = int(np.argmin(np.abs(vals)))
+        return MLEResult(float(grid[k]), float(vals[k]), False, True, "noise")
+    k = int(sign_change[0])
+    theta = brentq(lambda t: score(t, ctx), grid[k], grid[k + 1], xtol=1e-14, rtol=8.9e-16)
+    return MLEResult(float(theta), score(theta, ctx), True, False, "noise")
+
+
+@pytest.mark.parametrize(
+    "theta, sig, n, seed, bounds",
+    [
+        (0.3, 0.01, 2000, 13, {}),
+        (1.0, 0.01, 7800, 14, {}),
+        (0.4, 0.02, 500, 15, {}),
+        (0.05, 0.001, 3000, 16, {}),
+        (0.3, 0.01, 2000, 8, {"theta_min": 5.0, "theta_max": 50.0}),
+    ],
+    ids=["a", "b", "c", "d", "no-root"],
+)
+def test_mle_scan_stops_at_first_sign_change(theta, sig, n, seed, bounds):
+    path = _noise_path(theta, sig, n, seed=seed)
+    ctx = make_context(path.dY, 1.0 / n, **bounds)
+    assert mle(ctx) == _full_scan_mle(ctx)
 
 
 def test_mle_degenerate_data():

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.stats import invgamma, ks_2samp, norm
+from scipy.stats import gaussian_kde, invgamma, ks_2samp, norm
 
 import levyvol.posterior as posterior_module
 from levyvol import (
@@ -235,6 +237,7 @@ def test_adjust_empirical_translates_samples():
     out = adjust(emp, 0.5)
     np.testing.assert_allclose(out.samples, [0.5, 1.5, 2.5])
     assert out.shift == 0.5
+    assert adjust(replace(emp, mode=2.25), 0.5).mode == 1.75
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +441,36 @@ def test_point_estimates_heavy_tail_fallback():
     assert pts.map == pytest.approx(1.0 / 1.9, rel=1e-12)
 
 
+def _kde_mode(samples):
+    # oracle: mode of a Silverman-bandwidth Gaussian KDE on a 1024-point grid
+    kde = gaussian_kde(samples, bw_method="silverman")
+    grid = np.linspace(samples.min(), samples.max(), 1024)
+    return float(grid[np.argmax(kde(grid))]), float(kde.factor * np.std(samples, ddof=1))
+
+
 def test_map_from_samples_within_two_bandwidths():
-    rng = np.random.default_rng(18)
-    emp = EmpiricalPosterior(samples=rng.normal(2.0, 0.3, size=20_000), kappa=1.0)
+    emp = adjust(_noisy_chain(total=16_000), 0.02)
     pts = point_estimates(emp)
-    assert pts.kde_bandwidth is not None
-    assert abs(pts.map - 2.0) < 2 * pts.kde_bandwidth
+    kde_mode, bandwidth = _kde_mode(emp.samples)
+    assert abs(pts.map - kde_mode) < 2 * bandwidth
+    assert pts.mean == float(np.mean(emp.samples))
+
+
+def test_chain_mode_is_the_conjugate_map():
+    dY, ctx = _gaussian_ctx(n=1000, seed=3)
+    kappa = 0.8
+    chain = ChainConfig(total=6_000, burn_in=1_000, seed=42)
+    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, chain)
+    ana = tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, ctx.delta, kappa)
+    # a search on values of a log-target of size |f| ~ n/kappa resolves its
+    # mode only to about sd * sqrt(2 eps |f|): some 6e-8 relative, whatever n is
+    assert emp.mode == pytest.approx(ana.map_point(), rel=1e-7)
+    assert point_estimates(adjust(emp, 0.1)).map == pytest.approx(ana.map_point() - 0.1, rel=1e-7)
+
+
+def test_bare_sample_set_has_no_map():
+    emp = EmpiricalPosterior(samples=np.array([1.0, 2.0, 3.0]), kappa=1.0)
+    assert np.isnan(point_estimates(emp).map)
 
 
 def test_prior_logpdfs():
