@@ -2,7 +2,7 @@
 noise, via deliberately misspecified Gaussian quasi-likelihoods whose
 posteriors are recentered and retempered to match frequentist asymptotics."""
 
-from .errors import ConfigurationError, DegenerateDataError
+from .errors import CLTWindowWarning, ConfigurationError, DegenerateDataError
 from .simulate import (
     CompoundPoisson,
     ModelSpec,
@@ -25,7 +25,6 @@ from .likelihood import (
 )
 from .estimators import (
     EstimatorReport,
-    PhiConstants,
     PreavgConfig,
     estimate_no_noise,
     estimate_noise,
@@ -33,7 +32,6 @@ from .estimators import (
     kappa_noise,
     kappa_nonoise,
     noise_variance_hat,
-    phi_constants,
     preavg_threshold_estimator,
     threshold_rv,
     v_noise,

@@ -7,12 +7,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConfigurationError
+from .errors import CLTWindowWarning, ConfigurationError
 from .likelihood import DEFAULT_THETA_MIN, LikelihoodContext, mle, make_context
 
 
@@ -28,10 +26,21 @@ def noise_variance_hat(dY: np.ndarray) -> float:
     return float(np.sum(dY**2) / (2 * dY.size))
 
 
-def clt_window(bg_index: float) -> tuple[float, float]:
-    """Exponent window (1/(4 - 2*alpha), 1/2) in which the threshold RV
-    admits a CLT, alpha being the small-jump activity index."""
-    return 1.0 / (4.0 - 2.0 * bg_index), 0.5
+def warn_outside_clt_window(w: float, bg_index: float) -> bool:
+    """Whether w lies outside the window (1/(4 - 2*alpha), 1/2) in which the
+    threshold RV admits a CLT, alpha being the small-jump activity index; if
+    so, a CLTWindowWarning is issued at the caller's caller. It depends on
+    the design alone, not on the data."""
+    lo = 1.0 / (4.0 - 2.0 * bg_index)
+    outside = not lo < w < 0.5
+    if outside:
+        warnings.warn(
+            f"w={w} outside the CLT window ({lo:.3f}, 0.500) for activity index "
+            f"{bg_index}; point estimate is still consistent",
+            CLTWindowWarning,
+            stacklevel=3,
+        )
+    return outside
 
 
 def threshold_rv(dY: np.ndarray, w: float, horizon: float, bg_index: float = 0.0) -> float:
@@ -49,23 +58,20 @@ def threshold_rv(dY: np.ndarray, w: float, horizon: float, bg_index: float = 0.0
     n = dY.size
     if not 0 < w < 0.5:
         raise ConfigurationError(f"threshold exponent w must be in (0, 1/2), got {w}")
-    lo, hi = clt_window(bg_index)
-    if not lo < w < hi:
-        warnings.warn(
-            f"w={w} outside the CLT window ({lo:.3f}, {hi:.3f}) for activity index "
-            f"{bg_index}; point estimate is still consistent",
-            stacklevel=2,
-        )
+    warn_outside_clt_window(w, bg_index)
     eta = (horizon / n) ** w
     return float(np.sum(dY**2 * (np.abs(dY) <= eta)) / horizon)
 
 
-def _triangle(s):
-    return np.minimum(s, 1.0 - s)
-
-
-def _triangle_deriv(s):
-    return np.where(np.asarray(s) < 0.5, 1.0, -1.0)
+# Constants of the triangle weight g(s) = min(s, 1 - s), exact rationals
+# (Jacod, Li, Mykland, Podolskij & Vetter 2009): GBAR = int_0^1 g^2, and
+# PHI_ij = int_0^1 phi_i phi_j with phi_1(x) = int_x^1 g'(y) g'(y-x) dy and
+# phi_2(x) = int_x^1 g(y) g(y-x) dy. Since g' = +-1, int_0^1 g'^2 = 1, so the
+# debias constants are c1 = c * GBAR and c2 = 1 / c for block constant c.
+GBAR = 1.0 / 12.0
+PHI11 = 1.0 / 6.0
+PHI12 = 1.0 / 96.0
+PHI22 = 151.0 / 80640.0
 
 
 @dataclass(frozen=True)
@@ -88,90 +94,21 @@ class PreavgConfig:
             )
 
 
-@dataclass(frozen=True)
-class PhiConstants:
-    gbar: float  # integral of g^2
-    c1: float  # c * gbar
-    c2: float  # integral of g'^2, divided by c
-    phi11: float
-    phi12: float
-    phi22: float
-
-    def validate(self) -> None:
-        if min(self.gbar, self.c1, self.c2, self.phi11, self.phi12, self.phi22) <= 0:
-            raise ConfigurationError("phi constants must all be positive")
-
-
-def _quad(f, a, b, pts) -> float:
-    val, _ = quad(f, a, b, points=[p for p in pts if a < p < b], limit=200, epsabs=1e-10)
-    return val
-
-
-def _gauss(f, a, b, pts=(), nodes=48, subdiv=4) -> float:
-    """Composite Gauss-Legendre rule, independent of scipy's adaptive code
-    path; panel edges are aligned to the known kink locations in ``pts``."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    knots = np.unique([a, b, *[p for p in pts if a < p < b]])
-    total = 0.0
-    for seg_lo, seg_hi in zip(knots[:-1], knots[1:]):
-        edges = np.linspace(seg_lo, seg_hi, subdiv + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            total += half * np.sum(w * np.array([f(mid + half * xi) for xi in x]))
-    return total
-
-
-def phi_constants(cfg: PreavgConfig, rule: str = "adaptive") -> PhiConstants:
-    """Asymptotic constants of the pre-averaging estimator by numerical
-    quadrature of the weight function: gbar, c1, c2, and the double integrals
-    Phi_ij of phi_1(x) = int_x^1 g'(y) g'(y-x) dy and
-    phi_2(x) = int_x^1 g(y) g(y-x) dy.
-
-    rule='gauss' evaluates everything on a fixed Gauss-Legendre grid; it
-    exists so results can be cross-checked against an independent rule.
-    """
-    cfg.validate()
-    g, gp, c = _triangle, _triangle_deriv, cfg.block_constant
-    integ = _quad if rule == "adaptive" else _gauss
-
-    def inner(x, f):
-        if x >= 1.0:
-            return 0.0
-        return integ(lambda y: f(y) * f(y - x), x, 1.0, (0.5, x + 0.5))
-
-    gbar = integ(lambda s: g(s) ** 2, 0.0, 1.0, (0.5,))
-    gp2 = integ(lambda s: gp(s) ** 2, 0.0, 1.0, (0.5,))
-    phi11 = integ(lambda x: inner(x, gp) ** 2, 0.0, 1.0, (0.5,))
-    phi12 = integ(lambda x: inner(x, gp) * inner(x, g), 0.0, 1.0, (0.5,))
-    phi22 = integ(lambda x: inner(x, g) ** 2, 0.0, 1.0, (0.5,))
-
-    out = PhiConstants(
-        gbar=gbar, c1=c * gbar, c2=gp2 / c, phi11=phi11, phi12=phi12, phi22=phi22
-    )
-    out.validate()
-    return out
-
-
-@lru_cache(maxsize=8)
-def _phi_cached(cfg: PreavgConfig) -> PhiConstants:
-    return phi_constants(cfg)
-
-
-def window_weights(k: int, cfg: PreavgConfig) -> np.ndarray:
+def window_weights(k: int) -> np.ndarray:
     """Pre-averaging weights g(j/k), j = 1..k-1."""
     if k < 2:
         raise ConfigurationError(f"block length k must be >= 2, got {k}")
-    return np.asarray(_triangle(np.arange(1, k) / k), dtype=np.float64)
+    s = np.arange(1, k) / k
+    return np.minimum(s, 1.0 - s)
 
 
-def preavg_windows(dY: np.ndarray, k: int, cfg: PreavgConfig) -> np.ndarray:
+def preavg_windows(dY: np.ndarray, k: int) -> np.ndarray:
     """Windowed sums sum_{j=1}^{k-1} g(j/k) dY_{i+j}, i = 1..n-k."""
     dY = np.asarray(dY, dtype=np.float64)
     n = dY.size
     if k >= n:
         raise ConfigurationError(f"block length {k} must be smaller than n={n}")
-    gw = window_weights(k, cfg)
-    return np.correlate(dY[1:], gw, mode="valid")[: n - k]
+    return np.correlate(dY[1:], window_weights(k), mode="valid")[: n - k]
 
 
 @dataclass(frozen=True)
@@ -211,20 +148,21 @@ def preavg_threshold_estimator(
     if horizon is None:
         horizon = n * delta
     cfg.validate()
-    phi = _phi_cached(cfg)
-    k = int(np.floor(cfg.block_constant / np.sqrt(delta)))
+    c = cfg.block_constant
+    c1, c2 = c * GBAR, 1.0 / c
+    k = int(np.floor(c / np.sqrt(delta)))
     if k < 2:
         raise ConfigurationError(f"block length k={k} < 2; increase n or block_constant")
-    w = preavg_windows(dY, k, cfg)
+    w = preavg_windows(dY, k)
     scale = np.sqrt(delta) / horizon
-    pilot = max((scale * np.sum(w**2) - phi.c2 * sigma_eps2_hat) / phi.c1, 0.0)
+    pilot = max((scale * np.sum(w**2) - c2 * sigma_eps2_hat) / c1, 0.0)
     u = (
         cfg.threshold_mult
-        * np.sqrt(phi.c1 * pilot + phi.c2 * sigma_eps2_hat)
+        * np.sqrt(c1 * pilot + c2 * sigma_eps2_hat)
         * n ** (-cfg.threshold_exponent)
     )
     keep = np.abs(w) <= u
-    value = float((scale * np.sum(w**2 * keep) - phi.c2 * sigma_eps2_hat) / phi.c1)
+    value = float((scale * np.sum(w**2 * keep) - c2 * sigma_eps2_hat) / c1)
     return PreavgResult(
         value=value,
         value_clipped=max(value, DEFAULT_THETA_MIN),
@@ -236,14 +174,14 @@ def preavg_threshold_estimator(
     )
 
 
-def v_noise(theta: float, sigma_eps2: float, cfg: PreavgConfig, phi: PhiConstants) -> float:
+def v_noise(theta: float, sigma_eps2: float, cfg: PreavgConfig) -> float:
     """Asymptotic variance of the pre-averaging estimator:
     (c/gbar^2) [4 theta^2 Phi22 + (2 theta sigma^2 / c^2) Phi12 + (sigma^4/c^4) Phi11]."""
     c = cfg.block_constant
-    return (c / phi.gbar**2) * (
-        4.0 * theta**2 * phi.phi22
-        + (2.0 * theta * sigma_eps2 / c**2) * phi.phi12
-        + (sigma_eps2**2 / c**4) * phi.phi11
+    return (c / GBAR**2) * (
+        4.0 * theta**2 * PHI22
+        + (2.0 * theta * sigma_eps2 / c**2) * PHI12
+        + (sigma_eps2**2 / c**4) * PHI11
     )
 
 
@@ -265,7 +203,6 @@ def kappa_noise(
     sigma_eps2_hat: float,
     theta_tilde: float,
     cfg: PreavgConfig,
-    phi: PhiConstants,
     mode: str = "plugin",
 ) -> tuple[float, bool]:
     """Posterior temperature for the noise regime; returns (kappa, clipped).
@@ -283,12 +220,12 @@ def kappa_noise(
     denom = 8.0 * theta_tilde**1.5 * np.sqrt(sigma_eps2_hat)
     c = cfg.block_constant
     if mode == "plugin":
-        num = v_noise(s, sigma_eps2_hat, cfg, phi)
+        num = v_noise(s, sigma_eps2_hat, cfg)
     elif mode == "literal":
-        num = (c / phi.gbar**2) * (
-            4.0 * phi.phi22 * s
-            + (2.0 * phi.phi12 / c**2) * np.sqrt(s) * sigma_eps2_hat
-            + (phi.phi11 / c**4) * sigma_eps2_hat**2
+        num = (c / GBAR**2) * (
+            4.0 * PHI22 * s
+            + (2.0 * PHI12 / c**2) * np.sqrt(s) * sigma_eps2_hat
+            + (PHI11 / c**4) * sigma_eps2_hat**2
         )
     else:
         raise ConfigurationError(f"unknown kappa mode {mode!r}")
@@ -366,10 +303,9 @@ def estimate_noise(
     horizon = dY.size * delta
     if ctx is None:
         ctx = make_context(dY, delta)
-    phi = _phi_cached(cfg)
     res = mle(ctx)
     pre = preavg_threshold_estimator(dY, cfg, ctx.sigma_eps2, delta, horizon)
-    kappa, clipped = kappa_noise(pre.value, ctx.sigma_eps2, res.theta, cfg, phi, kappa_mode)
+    kappa, clipped = kappa_noise(pre.value, ctx.sigma_eps2, res.theta, cfg, kappa_mode)
     jqv = jump_qv_hat(res.theta, pre.value, horizon)
     return EstimatorReport(
         theta_tilde=res.theta,
@@ -377,7 +313,7 @@ def estimate_noise(
         sigma_eps2_hat=ctx.sigma_eps2,
         jump_qv_hat=jqv,
         kappa_n=kappa,
-        v_hat=v_noise(pre.value_clipped, ctx.sigma_eps2, cfg, phi),
+        v_hat=v_noise(pre.value_clipped, ctx.sigma_eps2, cfg),
         rate_exponent=-0.25,
         kappa_mode=kappa_mode,
         flags={

@@ -22,18 +22,21 @@ import csv
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import CLTWindowWarning, ConfigurationError
 from .estimators import (
     PreavgConfig,
     estimate_no_noise,
     estimate_noise,
+    noise_variance_hat,
     preavg_threshold_estimator,
+    warn_outside_clt_window,
 )
 from .likelihood import make_context, mle
 from .posterior import (
@@ -96,14 +99,13 @@ class PriorConfig:
     hi: float = 1.0
     rate: float = 1.0
 
-    def build(self, data_center: Optional[float] = None):
+    def build(self):
         if self.family == "inverse-gamma":
             return InverseGammaPrior(self.shape, self.scale)
         if self.family == "truncated-normal":
-            center = self.center if self.center is not None else data_center
-            if center is None:
+            if self.center is None:
                 raise ConfigurationError("truncated-normal prior needs a center")
-            return TruncatedNormalPrior(center=center, sd=self.sd, lower=self.lower)
+            return TruncatedNormalPrior(center=self.center, sd=self.sd, lower=self.lower)
         if self.family == "uniform":
             return UniformPrior(self.lo, self.hi)
         if self.family == "exponential":
@@ -133,6 +135,14 @@ class ExperimentConfig:
     dump_paths: bool = False
     dump_chains: bool = False
 
+    @property
+    def conjugate(self) -> bool:
+        """Whether the design runs the no-noise conjugate pipeline, and so
+        the threshold RV."""
+        return self.experiment in ("bias-study", "compare-full-bayes") or (
+            self.model.sigma_eps == 0 and self.experiment != "rate-check"
+        )
+
     def validate(self) -> None:
         """Refuse, before any replication runs, a design every one would fail on."""
         if self.experiment not in EXPERIMENTS:
@@ -149,10 +159,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown prior family {self.prior.family!r}; pick one of {PRIOR_FAMILIES}"
             )
-        conjugate = self.experiment in ("bias-study", "compare-full-bayes") or (
-            self.model.sigma_eps == 0 and self.experiment != "rate-check"
-        )
-        if conjugate and self.prior.family != "inverse-gamma":
+        if self.conjugate and self.prior.family != "inverse-gamma":
             raise ConfigurationError(
                 f"{self.experiment} runs the no-noise conjugate pipeline, which needs "
                 f"an inverse-gamma prior, not {self.prior.family!r}"
@@ -368,11 +375,8 @@ def fit_no_noise(dY: np.ndarray, delta: float, cfg: ExperimentConfig) -> FitResu
     """Conjugate pipeline: closed-form quasi-MLE, threshold RV, tempered
     inverse-gamma posterior, location shift, plug-in normal reference."""
     report = estimate_no_noise(dY, delta, cfg.w, cfg.bg_index)
-    prior = cfg.prior.build()
-    if not isinstance(prior, InverseGammaPrior):
-        raise ConfigurationError("no-noise conjugate pipeline needs an inverse-gamma prior")
     posterior = tempered_posterior_conjugate(
-        prior, dY, delta, max(report.kappa_n, KAPPA_FLOOR)
+        cfg.prior.build(), dY, delta, max(report.kappa_n, KAPPA_FLOOR)
     )
     adjusted = adjust(posterior, report.theta_tilde - report.theta_hat)
     reference = normal_reference(report.theta_hat, report.v_hat, -0.5, dY.size)
@@ -398,7 +402,7 @@ def fit_noise(
         n1 = (dY.size + 1) // 2  # boundary increment goes to the first half
         dY1, dY2 = dY[:n1], dY[n1:]
         pre1 = preavg_threshold_estimator(
-            dY1, cfg.preavg, float(np.sum(dY1**2) / (2 * dY1.size)), delta, n1 * delta
+            dY1, cfg.preavg, noise_variance_hat(dY1), delta, n1 * delta
         )
         center_raw = pre1.value
         ctx = make_context(dY2, delta)
@@ -416,7 +420,7 @@ def fit_noise(
             lower=max(cfg.prior.lower + shift, 0.0),
         )
     else:
-        prior = cfg.prior.build(data_center=center_raw)
+        prior = cfg.prior.build()
     chain = replace(cfg.chain, seed=cfg.master_seed, replication=rep)
     posterior = tempered_posterior_mcmc(
         prior, ctx, max(infer.kappa_n, KAPPA_FLOOR), chain
@@ -581,10 +585,14 @@ def _safe_worker(args) -> dict:
     """Run one task. Data and numerical failures become a row with the
     reason: ``ValueError`` covers ConfigurationError, DegenerateDataError,
     LinAlgError and a root solver's bracket error, ``ArithmeticError`` the
-    floating-point ones. Any other exception is a bug and aborts the run."""
+    floating-point ones. Any other exception is a bug and aborts the run.
+    The CLT-window warning is a fact about the design, which ``run`` reports
+    once, so it is silenced here."""
     cfg, task = args
     try:
-        return _WORKERS[cfg.experiment](cfg, task)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CLTWindowWarning)
+            return _WORKERS[cfg.experiment](cfg, task)
     except (ValueError, ArithmeticError) as exc:
         return {"rep": task, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -705,6 +713,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
     t0 = time.time()
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
+    # a design without the threshold RV has no CLT window to sit in: null
+    w_outside = warn_outside_clt_window(cfg.w, cfg.bg_index) if cfg.conjugate else None
 
     n_tasks = cfg.replications
     if cfg.experiment == "rate-check":
@@ -728,6 +738,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         "failures": failures,
         "failure_rate": failures / n_tasks,
         "too_many_failures": failures / n_tasks > 0.05,
+        "w_outside_clt_window": w_outside,
         "runtime_s": None,  # filled below
         "config": cfg.to_dict(),
         "results": _summarize(cfg, rows),

@@ -119,7 +119,6 @@ class AnalyticPosterior:
     scale: float
     shift: float = 0.0
     kappa: float = 1.0
-    provenance: Optional[dict] = None
 
     kind = "analytic"
 
@@ -148,9 +147,6 @@ class AnalyticPosterior:
     def map_point(self) -> float:
         return self.scale / (self.shape + 1) - self.shift
 
-    def rvs(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return invgamma.rvs(self.shape, scale=self.scale, size=size, random_state=rng) - self.shift
-
 
 @dataclass(frozen=True)
 class EmpiricalPosterior:
@@ -164,7 +160,6 @@ class EmpiricalPosterior:
     mode: float = np.nan
     acceptance_rate: float = np.nan
     chain_meta: dict = field(default_factory=dict)
-    provenance: Optional[dict] = None
 
     kind = "empirical"
 
@@ -302,7 +297,7 @@ def tempered_posterior_mcmc(
         raise ConfigurationError("prior support does not intersect the theta domain")
 
     theta0 = mle(ctx).theta
-    theta0 = float(np.clip(theta0, lo * (1 + 1e-6) if lo > 0 else ctx.theta_min, hi * (1 - 1e-6)))
+    theta0 = float(np.clip(theta0, lo * (1 + 1e-6), hi * (1 - 1e-6)))
 
     def log_target(theta: float) -> float:
         # tempered quasi-likelihood + prior + log-scale Jacobian
@@ -518,25 +513,17 @@ def tv_distance(p, q, method: str = "auto") -> TVResult:
 class PointEstimates:
     mean: float
     map: float
-    mean_from_samples: bool = False
 
 
-def point_estimates(posterior: Posterior, seed: int = 0) -> PointEstimates:
+def point_estimates(posterior: Posterior) -> PointEstimates:
     """Posterior mean and MAP.
 
-    Analytic: closed forms; if the mean does not exist (shape <= 1) it is
-    approximated from simulated draws and flagged. Empirical: sample mean,
-    and the exact mode of the chain's target as the MAP.
+    Analytic: closed forms; the mean raises ValueError where it does not
+    exist (shape <= 1). Empirical: sample mean, and the exact mode of the
+    chain's target as the MAP.
     """
-    if isinstance(posterior, AnalyticPosterior):
-        if posterior.shape > 1:
-            return PointEstimates(posterior.mean(), posterior.map_point())
-        rng = np.random.default_rng(seed)
-        draws = posterior.rvs(200_000, rng)
-        return PointEstimates(
-            float(np.mean(draws)), posterior.map_point(), mean_from_samples=True
-        )
-    return PointEstimates(posterior.mean(), posterior.mode)
+    mode = posterior.map_point() if isinstance(posterior, AnalyticPosterior) else posterior.mode
+    return PointEstimates(posterior.mean(), mode)
 
 
 def summarize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from levyvol import (
     ConfigurationError,
@@ -18,16 +19,14 @@ from levyvol import (
     kappa_noise,
     kappa_nonoise,
     noise_variance_hat,
-    phi_constants,
     preavg_threshold_estimator,
     simulate_path,
     threshold_rv,
     v_noise,
 )
-from levyvol.estimators import window_weights, preavg_windows
+from levyvol.estimators import GBAR, PHI11, PHI12, PHI22, preavg_windows, window_weights
 
 CFG = PreavgConfig()
-PHI = phi_constants(CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +131,59 @@ def test_threshold_unit_horizon_matches_n_power_cut(n, w):
 # ---------------------------------------------------------------------------
 
 
+def _triangle(s):
+    return np.minimum(s, 1.0 - s)
+
+
+def _triangle_deriv(s):
+    return np.where(np.asarray(s) < 0.5, 1.0, -1.0)
+
+
+def _quad(f, a, b, pts) -> float:
+    val, _ = quad(f, a, b, points=[p for p in pts if a < p < b], limit=200, epsabs=1e-10)
+    return val
+
+
+def _inner(x, f):
+    # phi_1 (f = g') or phi_2 (f = g) at lag x
+    if x >= 1.0:
+        return 0.0
+    return _quad(lambda y: f(y) * f(y - x), x, 1.0, (0.5, x + 0.5))
+
+
 def test_phi_gbar_exact():
-    assert PHI.gbar == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert PHI.c1 == pytest.approx(CFG.block_constant / 12.0, abs=1e-10)
+    assert GBAR == pytest.approx(_quad(lambda s: _triangle(s) ** 2, 0.0, 1.0, (0.5,)), rel=1e-13)
 
 
 def test_phi_c2_from_unit_gradient():
     # g' = +-1 a.e. so int g'^2 = 1 and c2 = 1/c
-    assert PHI.c2 == pytest.approx(1.0 / CFG.block_constant, abs=1e-9)
+    gp2 = _quad(lambda s: _triangle_deriv(s) ** 2, 0.0, 1.0, (0.5,))
+    assert gp2 == pytest.approx(1.0, rel=1e-13)
 
 
-def test_phi_dual_quadrature_rules_agree():
-    alt = phi_constants(CFG, rule="gauss")
-    for name in ("gbar", "c1", "c2", "phi11", "phi12", "phi22"):
-        assert getattr(PHI, name) == pytest.approx(getattr(alt, name), abs=1e-8)
+def test_phi_constants_match_quadrature_oracle():
+    g, gp = _triangle, _triangle_deriv
+    cases = (("phi11", PHI11, gp, gp), ("phi12", PHI12, gp, g), ("phi22", PHI22, g, g))
+    for name, value, f, h in cases:
+        oracle = _quad(lambda x: _inner(x, f) * _inner(x, h), 0.0, 1.0, (0.5,))
+        assert value == pytest.approx(oracle, rel=1e-13), name
 
 
 def test_phi_cauchy_schwarz():
-    assert PHI.phi12**2 <= PHI.phi11 * PHI.phi22 + 1e-15
+    assert PHI12**2 <= PHI11 * PHI22
 
 
 def test_phi_positive():
-    PHI.validate()
+    assert min(GBAR, PHI11, PHI12, PHI22) > 0
 
 
 def test_window_weights_k4():
-    np.testing.assert_allclose(window_weights(4, CFG), [0.25, 0.5, 0.25], atol=1e-15)
+    np.testing.assert_allclose(window_weights(4), [0.25, 0.5, 0.25], atol=1e-15)
 
 
 def test_preavg_window_count_and_values():
     dY = np.arange(1.0, 11.0)
-    w = preavg_windows(dY, 4, CFG)
+    w = preavg_windows(dY, 4)
     assert w.size == 10 - 4
     # first window: 0.25*dY[1] + 0.5*dY[2] + 0.25*dY[3]
     assert w[0] == pytest.approx(0.25 * 2 + 0.5 * 3 + 0.25 * 4, rel=1e-14)
@@ -179,16 +200,42 @@ def test_preavg_translation_invariance():
     assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=2.0),
+    st.floats(min_value=1.0 / 9.0, max_value=0.25, exclude_min=True, exclude_max=True),
+    st.floats(min_value=2.0, max_value=6.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_preavg_estimator_matches_recomputation(c, exponent, mult, seed):
+    # the estimator, recomputed here from its definition with c1 = c/12, c2 = 1/c
+    cfg = PreavgConfig(block_constant=c, threshold_exponent=exponent, threshold_mult=mult)
+    rng = np.random.default_rng(seed)
+    n = 4000
+    dY = rng.standard_normal(n) / np.sqrt(n) + 0.01 * np.diff(rng.standard_normal(n + 1))
+    sig2 = noise_variance_hat(dY)
+    k = int(np.floor(c * np.sqrt(n)))
+    g = _triangle(np.arange(1, k) / k)
+    win = np.array([np.dot(g, dY[i + 1 : i + k]) for i in range(n - k)])
+    c1, c2 = c / 12.0, 1.0 / c
+    pilot = max((np.sum(win**2) / np.sqrt(n) - c2 * sig2) / c1, 0.0)
+    u = mult * np.sqrt(c1 * pilot + c2 * sig2) * n ** (-exponent)
+    keep = np.abs(win) <= u
+    want = (np.sum(win[keep] ** 2) / np.sqrt(n) - c2 * sig2) / c1
+    got = preavg_threshold_estimator(dY, cfg, sig2).value
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def _pure_noise_expectation(n: int, sig2: float, cfg: PreavgConfig) -> float:
     """Independent oracle for E[Sigma_hat] under pure noise: the windowed sum
     loads the noise through the exact squared weight differences (g(j/k) -
     g((j+1)/k)), not the continuum limit c2/k."""
-    phi = phi_constants(cfg)
-    k = int(np.floor(cfg.block_constant * np.sqrt(n)))
-    g = np.concatenate(([0.0], window_weights(k, cfg), [0.0]))
+    c = cfg.block_constant
+    k = int(np.floor(c * np.sqrt(n)))
+    g = np.concatenate(([0.0], window_weights(k), [0.0]))
     load = float(np.sum(np.diff(g) ** 2))
     e_u = (n - k) * sig2 * load
-    return (e_u / np.sqrt(n) - phi.c2 * sig2) / phi.c1
+    return (e_u / np.sqrt(n) - sig2 / c) / (c * GBAR)
 
 
 def test_preavg_pure_noise_debias():
@@ -272,19 +319,19 @@ def test_preavg_negative_flagged():
 
 def test_v_noise_limits():
     c = CFG.block_constant
-    assert v_noise(0.7, 0.0, CFG, PHI) == pytest.approx(
-        (c / PHI.gbar**2) * 4 * 0.49 * PHI.phi22, rel=1e-12
+    assert v_noise(0.7, 0.0, CFG) == pytest.approx(
+        (c / GBAR**2) * 4 * 0.49 * PHI22, rel=1e-12
     )
-    assert v_noise(0.0, 2e-4, CFG, PHI) == pytest.approx(
-        (c / PHI.gbar**2) * (2e-4) ** 2 * PHI.phi11 / c**4, rel=1e-12
+    assert v_noise(0.0, 2e-4, CFG) == pytest.approx(
+        (c / GBAR**2) * (2e-4) ** 2 * PHI11 / c**4, rel=1e-12
     )
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.1, max_value=3.0))
 def test_v_noise_degree_four_homogeneity(s):
-    base = v_noise(0.4, 3e-4, CFG, PHI)
-    scaled = v_noise(s**2 * 0.4, s**2 * 3e-4, CFG, PHI)
+    base = v_noise(0.4, 3e-4, CFG)
+    scaled = v_noise(s**2 * 0.4, s**2 * 3e-4, CFG)
     assert scaled == pytest.approx(s**4 * base, rel=1e-10)
 
 
@@ -314,24 +361,24 @@ def test_kappa_nonoise_no_jump_mc():
 
 def test_kappa_noise_plugin_definitional():
     th, sig2 = 0.8, 2e-4
-    kap, clipped = kappa_noise(th, sig2, th, CFG, PHI, mode="plugin")
+    kap, clipped = kappa_noise(th, sig2, th, CFG, mode="plugin")
     assert not clipped
     assert kap == pytest.approx(
-        v_noise(th, sig2, CFG, PHI) / (8 * th**1.5 * np.sqrt(sig2)), rel=1e-12
+        v_noise(th, sig2, CFG) / (8 * th**1.5 * np.sqrt(sig2)), rel=1e-12
     )
 
 
 def test_kappa_modes_equal_at_unit_sigma_hat():
-    k1, _ = kappa_noise(1.0, 2e-4, 0.9, CFG, PHI, mode="plugin")
-    k2, _ = kappa_noise(1.0, 2e-4, 0.9, CFG, PHI, mode="literal")
+    k1, _ = kappa_noise(1.0, 2e-4, 0.9, CFG, mode="plugin")
+    k2, _ = kappa_noise(1.0, 2e-4, 0.9, CFG, mode="literal")
     assert k1 == pytest.approx(k2, rel=1e-12)
-    k1b, _ = kappa_noise(0.5, 2e-4, 0.9, CFG, PHI, mode="plugin")
-    k2b, _ = kappa_noise(0.5, 2e-4, 0.9, CFG, PHI, mode="literal")
+    k1b, _ = kappa_noise(0.5, 2e-4, 0.9, CFG, mode="plugin")
+    k2b, _ = kappa_noise(0.5, 2e-4, 0.9, CFG, mode="literal")
     assert k1b != pytest.approx(k2b, rel=1e-3)
 
 
 def test_kappa_noise_clips_negative():
-    kap, clipped = kappa_noise(-0.2, 2e-4, 0.9, CFG, PHI)
+    kap, clipped = kappa_noise(-0.2, 2e-4, 0.9, CFG)
     assert clipped
     assert kap > 0
 

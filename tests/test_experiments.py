@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import levyvol.experiments
 import levyvol.likelihood
 from levyvol import (
+    CLTWindowWarning,
     CompoundPoisson,
     ConfigurationError,
     ModelSpec,
@@ -569,3 +571,42 @@ def test_cli_config_value_of_wrong_type_returns_2(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"experiment": "bias-study", "replications": "2"}))
     assert main(["experiment", "--config", str(cfg_file)]) == 2
     assert "config.replications must be an integer" in capsys.readouterr().err
+
+
+def test_cli_posterior_with_non_conjugate_prior_returns_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"prior": {"family": "uniform"}}))
+    args = ["posterior", "--experiment", "single-path", "--config", str(cfg_file)]
+    assert main(args + ["--n", "500"]) == 2
+    assert "inverse-gamma prior" in capsys.readouterr().err
+
+
+def _clt_warnings(cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(cfg)
+    return res, [w for w in caught if issubclass(w.category, CLTWindowWarning)]
+
+
+def test_clt_window_warned_once_per_run(tmp_path):
+    # w = 0.19 lies below the window (1/4, 1/2) of activity index 0: one
+    # warning for the run, not one per replication, and a flag in the summary
+    cfg = _tiny("bias-study", w=0.19, out_dir=str(tmp_path))
+    res, caught = _clt_warnings(cfg)
+    assert len(caught) == 1
+    assert res.summary["w_outside_clt_window"] is True
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    assert on_disk["w_outside_clt_window"] is True
+
+
+def test_clt_window_flag_false_inside_window():
+    cfg = replace(_tiny("coverage-nonoise"), replications=2)
+    assert cfg.w == 0.41
+    res, caught = _clt_warnings(cfg)
+    assert caught == []
+    assert res.summary["w_outside_clt_window"] is False
+
+
+def test_clt_window_flag_null_without_threshold_rv():
+    cfg = replace(_tiny("rate-check"), replications=2, n_grid=(500, 1000))
+    assert run(cfg).summary["w_outside_clt_window"] is None
