@@ -56,14 +56,12 @@ from .posterior import (
     tv_distance,
 )
 from .reference_bayes import (
-    GibbsConfig,
     JointPriors,
     gibbs_full_joint,
     marginal_theta,
 )
 from .experiments import (
     ExperimentConfig,
-    PriorConfig,
     config_from_dict,
     default_config,
     emit_plot_data,

@@ -40,12 +40,14 @@ from .estimators import (
 )
 from .likelihood import make_context, mle
 from .posterior import (
+    MIN_RETAINED,
     ChainConfig,
     EmpiricalPosterior,
+    ExponentialPrior,
     InverseGammaPrior,
+    Prior,
     TruncatedNormalPrior,
     UniformPrior,
-    ExponentialPrior,
     adjust,
     equal_tail_interval,
     hpd_interval,
@@ -55,7 +57,7 @@ from .posterior import (
     tempered_posterior_mcmc,
     tv_distance,
 )
-from .reference_bayes import GibbsConfig, JointPriors, gibbs_full_joint, marginal_theta
+from .reference_bayes import JointPriors, gibbs_full_joint, marginal_theta
 from .simulate import (
     CompoundPoisson,
     ModelSpec,
@@ -74,43 +76,12 @@ EXPERIMENTS = (
     "rate-check",
     "compare-full-bayes",
 )
-PRIOR_FAMILIES = ("inverse-gamma", "truncated-normal", "uniform", "exponential")
-
 KAPPA_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """Prior family by name; 'center=None' on the truncated normal means the
-    center is estimated from the first half of the sample (split design)."""
-
-    family: str = "inverse-gamma"
-    shape: float = 1.0
-    scale: float = 1.0
-    center: Optional[float] = None
-    sd: float = 0.06
-    lower: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
-    rate: float = 1.0
-
-    def build(self):
-        if self.family == "inverse-gamma":
-            return InverseGammaPrior(self.shape, self.scale)
-        if self.family == "truncated-normal":
-            if self.center is None:
-                raise ConfigurationError("truncated-normal prior needs a center")
-            return TruncatedNormalPrior(center=self.center, sd=self.sd, lower=self.lower)
-        if self.family == "uniform":
-            return UniformPrior(self.lo, self.hi)
-        if self.family == "exponential":
-            return ExponentialPrior(self.rate)
-        raise ConfigurationError(f"unknown prior family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +92,7 @@ class ExperimentConfig:
     bg_index: float = 0.0
     kappa_mode: str = "plugin"
     preavg: PreavgConfig = field(default_factory=PreavgConfig)
-    prior: PriorConfig = field(default_factory=PriorConfig)
+    prior: Prior = field(default_factory=InverseGammaPrior)
     chain: ChainConfig = field(default_factory=ChainConfig)
     joint_priors: JointPriors = field(default_factory=JointPriors)
     split_prior: bool = False
@@ -155,14 +126,11 @@ class ExperimentConfig:
             raise ConfigurationError("level must be in (0, 1)")
         self.model.validate()
         self.preavg.validate()
-        if self.prior.family not in PRIOR_FAMILIES:
-            raise ConfigurationError(
-                f"unknown prior family {self.prior.family!r}; pick one of {PRIOR_FAMILIES}"
-            )
-        if self.conjugate and self.prior.family != "inverse-gamma":
+        self.prior.validate()
+        if self.conjugate and not isinstance(self.prior, InverseGammaPrior):
             raise ConfigurationError(
                 f"{self.experiment} runs the no-noise conjugate pipeline, which needs "
-                f"an inverse-gamma prior, not {self.prior.family!r}"
+                f"an inverse-gamma prior, not {_TAG_OF[type(self.prior)][1]!r}"
             )
         if self.experiment == "rate-check":
             if len(self.n_grid) < 2:
@@ -171,28 +139,45 @@ class ExperimentConfig:
                 replace(self.model, n=n).validate()
         if self.experiment == "compare-full-bayes":
             self.joint_priors.validate()
-            GibbsConfig(self.chain.total, self.chain.burn_in).validate()
+            self.chain.validate()
         elif self.model.sigma_eps > 0 and self.experiment not in ("bias-study", "rate-check"):
-            self.chain.validate()  # fit_noise runs the Metropolis chain
+            self.chain.validate(MIN_RETAINED)  # fit_noise runs the Metropolis chain
 
     def to_dict(self) -> dict:
         return _to_data(self)
 
 
+# Tagged unions of the config: a jump spec is named by its "kind", a prior by
+# its "family"; each registry maps the tag's values to their dataclasses.
 JUMP_KINDS = {
     "none": NoJumps,
     "compound-poisson": CompoundPoisson,
     "variance-gamma": VarianceGamma,
     "trimmed-stable": TrimmedStable,
 }
-_KIND_OF = {cls: kind for kind, cls in JUMP_KINDS.items()}
+PRIOR_FAMILIES = {
+    "inverse-gamma": InverseGammaPrior,
+    "truncated-normal": TruncatedNormalPrior,
+    "uniform": UniformPrior,
+    "exponential": ExponentialPrior,
+}
+_REGISTRIES = {"kind": ("jump kind", JUMP_KINDS), "family": ("prior family", PRIOR_FAMILIES)}
+_TAG_OF = {
+    cls: (key, name)
+    for key, (_, registry) in _REGISTRIES.items()
+    for name, cls in registry.items()
+}
 
 
 def _to_data(obj):
     """JSON-compatible form of a config value: a dataclass becomes a dict of
-    its fields, led by ``"kind"`` for a jump spec; a tuple becomes a list."""
+    its fields, led by its tag (``"kind"`` or ``"family"``) for a member of a
+    tagged union; a tuple becomes a list."""
     if is_dataclass(obj):
-        d = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+        d = {}
+        if type(obj) in _TAG_OF:
+            key, tag = _TAG_OF[type(obj)]
+            d[key] = tag
         d.update((f.name, _to_data(getattr(obj, f.name))) for f in fields(obj))
         return d
     if isinstance(obj, tuple):
@@ -223,23 +208,27 @@ def _check_scalar(value, annotation: str, where: str) -> None:
 def _from_data(cls, d, base, where: str):
     """Instance of the dataclass ``cls`` from the JSON object ``d`` at ``where``:
     omitted fields keep their value in ``base``, a nested object merges into
-    the config of ``base`` it names, and a jump spec of another ``"kind"`` is
-    built from its own fields alone. A scalar whose JSON type does not fit the
-    field's annotation is refused."""
+    the config of ``base`` it names, and a jump spec of another ``"kind"`` or
+    a prior of another ``"family"`` is built from its own fields alone, so a
+    field of the family it replaces is unknown. A scalar whose JSON type does
+    not fit the field's annotation is refused."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{where} must be an object, got {d!r}")
     d = dict(d)
-    if type(base) in _KIND_OF:
-        kind = d.pop("kind", _KIND_OF[type(base)])
-        cls = JUMP_KINDS.get(kind) if isinstance(kind, str) else None
+    if type(base) in _TAG_OF:
+        key, tag = _TAG_OF[type(base)]
+        label, registry = _REGISTRIES[key]
+        tag = d.pop(key, tag)
+        _check_scalar(tag, "str", f"{where}.{key}")
+        cls = registry.get(tag)
         if cls is None:
-            raise ConfigurationError(f"unknown jump kind {kind!r} in {where}")
+            raise ConfigurationError(f"unknown {label} {tag!r} in {where}")
         if cls is not type(base):
             base = None
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown field(s) {unknown} in {where}")
-    if base is None:  # a jump spec of a new kind; none has a default_factory
+    if base is None:  # a new kind or family; none has a default_factory
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ConfigurationError(f"missing field(s) {missing} in {where}")
@@ -336,7 +325,7 @@ def default_config(experiment: str) -> ExperimentConfig:
         return ExperimentConfig(
             experiment=experiment,
             model=STABLE_MODEL,
-            prior=PriorConfig(family="truncated-normal", sd=0.06, lower=0.0),
+            prior=TruncatedNormalPrior(sd=0.06, lower=0.0),
             split_prior=True,
             replications=200,
         )
@@ -376,7 +365,7 @@ def fit_no_noise(dY: np.ndarray, delta: float, cfg: ExperimentConfig) -> FitResu
     inverse-gamma posterior, location shift, plug-in normal reference."""
     report = estimate_no_noise(dY, delta, cfg.w, cfg.bg_index)
     posterior = tempered_posterior_conjugate(
-        cfg.prior.build(), dY, delta, max(report.kappa_n, KAPPA_FLOOR)
+        cfg.prior, dY, delta, max(report.kappa_n, KAPPA_FLOOR)
     )
     adjusted = adjust(posterior, report.theta_tilde - report.theta_hat)
     reference = normal_reference(report.theta_hat, report.v_hat, -0.5, dY.size)
@@ -413,17 +402,11 @@ def fit_noise(
         center_raw = full.theta_hat
     reference = normal_reference(full.theta_hat, full.v_hat, -0.25, dY.size)
     shift = infer.theta_tilde - infer.theta_hat
-    if cfg.prior.family == "truncated-normal" and cfg.prior.center is None:
-        prior = TruncatedNormalPrior(
-            center=center_raw + shift,
-            sd=cfg.prior.sd,
-            lower=max(cfg.prior.lower + shift, 0.0),
-        )
-    else:
-        prior = cfg.prior.build()
-    chain = replace(cfg.chain, seed=cfg.master_seed, replication=rep)
+    prior = cfg.prior
+    if isinstance(prior, TruncatedNormalPrior) and prior.center is None:
+        prior = replace(prior, center=center_raw + shift, lower=max(prior.lower + shift, 0.0))
     posterior = tempered_posterior_mcmc(
-        prior, ctx, max(infer.kappa_n, KAPPA_FLOOR), chain
+        prior, ctx, max(infer.kappa_n, KAPPA_FLOOR), cfg.chain, cfg.master_seed, rep
     )
     adjusted = adjust(posterior, shift)
     return FitResult(full, posterior, adjusted, reference)
@@ -482,9 +465,8 @@ def _rep_bias_study(cfg: ExperimentConfig, rep: int) -> dict:
     jqv_n = path.jump_qv_grid()
     theta_star_hat = report.theta_tilde - jqv_n / horizon
     kappa_lat = max((max(theta_star_hat, 0.0) / report.theta_tilde) ** 2, KAPPA_FLOOR)
-    prior = cfg.prior.build()
     post_lat = adjust(
-        tempered_posterior_conjugate(prior, path.dY, delta, kappa_lat), jqv_n / horizon
+        tempered_posterior_conjugate(cfg.prior, path.dY, delta, kappa_lat), jqv_n / horizon
     )
     mean_lat = point_estimates(post_lat).mean
     return {
@@ -550,7 +532,7 @@ def _rep_compare(cfg: ExperimentConfig, rep: int) -> dict:
         path.dY,
         delta,
         cfg.joint_priors,
-        GibbsConfig(cfg.chain.total, cfg.chain.burn_in),
+        cfg.chain,
         seed=cfg.master_seed,
         replication=rep,
         dump_csv=dump,

@@ -11,7 +11,7 @@ location shift recenters it at a jump-robust estimate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional, Union
 
@@ -29,12 +29,29 @@ from .rng import stream
 # ---------------------------------------------------------------------------
 
 
+def _check_parameters(prior, *positive: str) -> None:
+    """Refuse a prior parameter that is not a finite number, or a parameter
+    named in ``positive`` that is <= 0. A center of None (a data-centered
+    truncated normal) is not a number yet and passes."""
+    for f in fields(prior):
+        value = getattr(prior, f.name)
+        if value is None:
+            continue
+        if not np.isfinite(value) or (f.name in positive and value <= 0):
+            wanted = "a finite number > 0" if f.name in positive else "a finite number"
+            where = f"{type(prior).__name__}.{f.name}"
+            raise ConfigurationError(f"{where} must be {wanted}, got {value}")
+
+
 @dataclass(frozen=True)
 class InverseGammaPrior:
     shape: float = 1.0
     scale: float = 1.0
 
     support = (0.0, np.inf)
+
+    def validate(self) -> None:
+        _check_parameters(self, "shape", "scale")
 
     def logpdf(self, theta: float) -> float:
         if theta <= 0:
@@ -46,18 +63,23 @@ class InverseGammaPrior:
 class TruncatedNormalPrior:
     """Normal(center, sd) restricted to (lower, inf).
 
-    The log-normaliser log P(Z > (lower - center)/sd) is computed once per
-    instance and cached, so ``logpdf`` costs a few float operations and no
-    ``scipy.stats`` call inside a Metropolis loop.
+    ``center=None`` centers the prior on the data: the experiment harness
+    fills it in per replication before a chain runs. The log-normaliser
+    log P(Z > (lower - center)/sd) is computed once per instance and cached,
+    so ``logpdf`` costs a few float operations and no ``scipy.stats`` call
+    inside a Metropolis loop.
     """
 
-    center: float
-    sd: float
+    center: Optional[float] = None
+    sd: float = 0.06
     lower: float = 0.0
 
     @property
     def support(self):
         return (self.lower, np.inf)
+
+    def validate(self) -> None:
+        _check_parameters(self, "sd")
 
     @cached_property
     def _log_tail(self):
@@ -73,12 +95,17 @@ class TruncatedNormalPrior:
 
 @dataclass(frozen=True)
 class UniformPrior:
-    lo: float
-    hi: float
+    lo: float = 0.0
+    hi: float = 1.0
 
     @property
     def support(self):
         return (self.lo, self.hi)
+
+    def validate(self) -> None:
+        _check_parameters(self)
+        if not self.lo < self.hi:
+            raise ConfigurationError(f"UniformPrior needs lo < hi, got ({self.lo}, {self.hi})")
 
     def logpdf(self, theta: float) -> float:
         if not self.lo < theta < self.hi:
@@ -91,6 +118,9 @@ class ExponentialPrior:
     rate: float = 1.0
 
     support = (0.0, np.inf)
+
+    def validate(self) -> None:
+        _check_parameters(self, "rate")
 
     def logpdf(self, theta: float) -> float:
         if theta <= 0:
@@ -254,24 +284,35 @@ def tempered_posterior_conjugate(
     )
 
 
+# the Metropolis chain keeps at least this many draws: its HPD window, its
+# histogram TV and its mode search are all read off the retained draws
+MIN_RETAINED = 1000
+
+
 @dataclass(frozen=True)
 class ChainConfig:
+    """Length of a Markov chain: ``total`` steps (Metropolis) or sweeps
+    (Gibbs), of which the first ``burn_in`` are discarded."""
+
     total: int = 20000
     burn_in: int = 5000
-    proposal_sd: Optional[float] = None  # on log(theta); None = Laplace calibration
-    seed: int = 0
-    replication: int = 0
-    adapt: bool = True
 
-    def validate(self) -> None:
+    def validate(self, min_retained: int = 1) -> None:
+        if self.burn_in < 0:
+            raise ConfigurationError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.total <= self.burn_in:
             raise ConfigurationError("chain total must exceed burn_in")
-        if self.total - self.burn_in < 1000:
-            raise ConfigurationError("need at least 1000 retained draws")
+        if self.total - self.burn_in < min_retained:
+            raise ConfigurationError(f"need at least {min_retained} retained draws")
 
 
 def tempered_posterior_mcmc(
-    prior: Prior, ctx: LikelihoodContext, kappa: float, chain: ChainConfig
+    prior: Prior,
+    ctx: LikelihoodContext,
+    kappa: float,
+    chain: ChainConfig = ChainConfig(),
+    seed: int = 0,
+    replication: int = 0,
 ) -> EmpiricalPosterior:
     """Random-walk Metropolis on log(theta) targeting
     exp(loglik(theta)/kappa) * prior(theta).
@@ -279,16 +320,16 @@ def tempered_posterior_mcmc(
     The proposal s.d. starts at 2.4 times the Laplace posterior s.d. at the
     quasi-MLE and is rescaled once halfway through burn-in, then frozen so
     the retained chain is Markovian. Proposals outside the prior support are
-    rejected, never raised. Deterministic given chain.seed.
+    rejected, never raised. Deterministic given (seed, replication).
 
     The mode of loglik(theta)/kappa + log prior(theta) on the theta scale is
     found by one bounded scalar search over the range of the retained draws,
     to 1e-9 of their s.d. (scipy's search adds sqrt(eps)|theta| of its own).
     """
-    chain.validate()
+    chain.validate(MIN_RETAINED)
     if kappa <= 0:
         raise ConfigurationError("kappa must be > 0")
-    rng = stream(chain.seed, chain.replication, "chain")
+    rng = stream(seed, replication, "chain")
 
     lo_s, hi_s = prior.support
     lo = max(lo_s, ctx.theta_min)
@@ -306,19 +347,14 @@ def tempered_posterior_mcmc(
         return loglik(theta, ctx) / kappa + prior.logpdf(theta) + np.log(theta)
 
     curv = -loglik_hess(theta0, ctx)
-    if chain.proposal_sd is not None:
-        sd = chain.proposal_sd
-    elif curv > 0:
-        sd = 2.4 * np.sqrt(kappa / curv) / theta0
-    else:
-        sd = 0.5
+    sd = 2.4 * np.sqrt(kappa / curv) / theta0 if curv > 0 else 0.5
 
     x = np.log(theta0)
     lp = log_target(theta0)
     draws = np.empty(chain.total)
     z = rng.standard_normal(chain.total)
     logu = np.log(rng.uniform(size=chain.total))
-    adapt_at = chain.burn_in // 2 if chain.adapt else -1
+    adapt_at = chain.burn_in // 2
     accepted_window = 0
     accepted_kept = 0
     for i in range(chain.total):
@@ -345,7 +381,7 @@ def tempered_posterior_mcmc(
     if not 0.05 <= acc <= 0.9:
         warnings.warn(
             f"MCMC acceptance rate {acc:.3f} outside [0.05, 0.9]; "
-            "consider adjusting proposal_sd",
+            "the retained draws may not represent the posterior",
             stacklevel=2,
         )
     return EmpiricalPosterior(
@@ -358,7 +394,7 @@ def tempered_posterior_mcmc(
             "total": chain.total,
             "burn_in": chain.burn_in,
             "proposal_sd": float(sd),
-            "seed": chain.seed,
+            "seed": seed,
         },
     )
 
@@ -451,14 +487,14 @@ def _law_range(p) -> tuple[float, float]:
     return float(p.ppf(1e-12)), float(p.ppf(1 - 1e-12))
 
 
-def tv_distance(p, q, method: str = "auto") -> TVResult:
+def tv_distance(p, q) -> TVResult:
     """Total variation distance (1/2) int |f - g|.
 
-    Analytic vs analytic: the densities' sign-change points are located and
-    the distance assembled exactly from CDF differences between crossings
-    ('cdf'); method='quad' integrates |f - g| directly as an independent
-    check. An empirical posterior is compared through an adaptive histogram
-    with ceil(2 m^(1/3)) bins; the binning is reported in ``detail``.
+    Analytic vs analytic: the densities' sign-change points are located on a
+    4001-point scan and polished by root search, and the distance is
+    assembled exactly from CDF differences between crossings. An empirical
+    posterior is compared through an adaptive histogram with ceil(2 m^(1/3))
+    bins; the binning is reported in ``detail``.
     """
     if isinstance(p, EmpiricalPosterior) and isinstance(q, EmpiricalPosterior):
         raise ConfigurationError("at least one law must be analytic")
@@ -477,36 +513,26 @@ def tv_distance(p, q, method: str = "auto") -> TVResult:
 
     lo = min(_law_range(p)[0], _law_range(q)[0])
     hi = max(_law_range(p)[1], _law_range(q)[1])
-    if method in ("auto", "cdf"):
-        grid = np.linspace(lo, hi, 4001)
-        diff = p.pdf(grid) - q.pdf(grid)
-        sgn = np.sign(diff)
-        hits = np.nonzero(np.diff(sgn) != 0)[0]
-        cut = [lo]
-        for i in hits:
-            a, b = grid[i], grid[i + 1]
-            fa, fb = diff[i], diff[i + 1]
-            if fa == 0.0:
-                cut.append(a)
-                continue
-            try:
-                cut.append(brentq(lambda x: float(p.pdf(x) - q.pdf(x)), a, b, xtol=1e-14))
-            except ValueError:
-                cut.append(0.5 * (a + b))
-        cut.append(hi)
-        total = abs(float(p.cdf(lo) - q.cdf(lo)))
-        for a, b in zip(cut[:-1], cut[1:]):
-            total += abs(float((p.cdf(b) - p.cdf(a)) - (q.cdf(b) - q.cdf(a))))
-        total += abs(float((1 - p.cdf(hi)) - (1 - q.cdf(hi))))
-        return TVResult(0.5 * total, "cdf", {"crossings": len(hits)})
-    if method == "quad":
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda x: abs(float(p.pdf(x) - q.pdf(x))), lo, hi, limit=400, epsabs=1e-10
-        )
-        return TVResult(0.5 * val, "quad", {})
-    raise ConfigurationError(f"unknown method {method!r}")
+    grid = np.linspace(lo, hi, 4001)
+    diff = p.pdf(grid) - q.pdf(grid)
+    sgn = np.sign(diff)
+    hits = np.nonzero(np.diff(sgn) != 0)[0]
+    cut = [lo]
+    for i in hits:
+        a, b = grid[i], grid[i + 1]
+        if diff[i] == 0.0:
+            cut.append(a)
+            continue
+        try:
+            cut.append(brentq(lambda x: float(p.pdf(x) - q.pdf(x)), a, b, xtol=1e-14))
+        except ValueError:
+            cut.append(0.5 * (a + b))
+    cut.append(hi)
+    total = abs(float(p.cdf(lo) - q.cdf(lo)))
+    for a, b in zip(cut[:-1], cut[1:]):
+        total += abs(float((p.cdf(b) - p.cdf(a)) - (q.cdf(b) - q.cdf(a))))
+    total += abs(float((1 - p.cdf(hi)) - (1 - q.cdf(hi))))
+    return TVResult(0.5 * total, "cdf", {"crossings": len(hits)})
 
 
 @dataclass(frozen=True)
@@ -527,16 +553,12 @@ def point_estimates(posterior: Posterior) -> PointEstimates:
 
 
 def summarize(
-    posterior: Posterior,
-    reference: Optional[NormalReference] = None,
-    level: float = 0.95,
-    clip_at_zero: bool = False,
+    posterior: Posterior, reference: Optional[NormalReference] = None, level: float = 0.95
 ) -> dict:
     """JSON-ready posterior summary.
 
     The shift correction can push mass onto negative values; everything is
-    computed on the shifted law as-is. ``clip_at_zero`` floors the *reported*
-    interval endpoints and point estimates at 0 without touching the law.
+    computed and reported on the shifted law as-is.
     """
     pts = point_estimates(posterior)
     intervals = [
@@ -556,11 +578,4 @@ def summarize(
     if reference is not None:
         out["tv_to_reference"] = tv_distance(posterior, reference).value
         intervals.append(vars(reference.wald_interval(level)))
-    if clip_at_zero:
-        out["mean"] = max(out["mean"], 0.0)
-        out["map"] = max(out["map"], 0.0)
-        for iv in intervals:
-            iv["lower"] = max(iv["lower"], 0.0)
-            iv["upper"] = max(iv["upper"], 0.0)
-        out["clipped_at_zero"] = True
     return out

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import ConfigurationError
+from .posterior import ChainConfig
 from .rng import stream
 
 
@@ -123,21 +124,11 @@ def _sample_truncnorm(rng, mean, sd, lo, hi):
     return mean + sd * ndtri(u)
 
 
-@dataclass(frozen=True)
-class GibbsConfig:
-    total: int = 20000
-    burn_in: int = 5000
-
-    def validate(self) -> None:
-        if self.total <= self.burn_in:
-            raise ConfigurationError("total must exceed burn_in")
-
-
 def gibbs_full_joint(
     dX: np.ndarray,
     delta: float,
     priors: JointPriors = JointPriors(),
-    chain: GibbsConfig = GibbsConfig(),
+    chain: ChainConfig = ChainConfig(),
     seed: int = 0,
     replication: int = 0,
     dump_csv: str | None = None,

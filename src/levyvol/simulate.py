@@ -76,7 +76,6 @@ class TrimmedStable:
     index: float
     scale: float = 1.0
     trim_fraction: float = 0.0
-    center: bool = False
 
     def validate(self) -> None:
         if not 0 < self.index < 2:

@@ -175,7 +175,8 @@ def test_c4_conjugate_mcmc_ks():
             InverseGammaPrior(1, 1),
             ctx,
             kappa,
-            ChainConfig(total=25_000, burn_in=5_000, seed=seed),
+            ChainConfig(total=25_000, burn_in=5_000),
+            seed=seed,
         )
         ana = tempered_posterior_conjugate(InverseGammaPrior(1, 1), path.dY, spec.delta, kappa)
         exact = invgamma.rvs(

@@ -3,7 +3,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,17 +14,23 @@ import levyvol.experiments
 import levyvol.likelihood
 from levyvol import (
     CLTWindowWarning,
+    ChainConfig,
     CompoundPoisson,
     ConfigurationError,
+    ExponentialPrior,
+    InverseGammaPrior,
     ModelSpec,
     NoJumps,
     TrimmedStable,
+    TruncatedNormalPrior,
+    UniformPrior,
     VarianceGamma,
     simulate_path,
 )
 from levyvol.cli import main
 from levyvol.experiments import (
     EXPERIMENTS,
+    JUMP_KINDS,
     PRIOR_FAMILIES,
     config_from_dict,
     default_config,
@@ -51,8 +57,7 @@ def test_noise_design_chain_defaults():
     assert cfg.chain.total == 20_000
     assert cfg.chain.burn_in == 5_000
     assert cfg.model.n == 15_600
-    assert cfg.prior.family == "truncated-normal"
-    assert cfg.prior.sd == 0.06
+    assert cfg.prior == TruncatedNormalPrior(center=None, sd=0.06, lower=0.0)
     assert cfg.split_prior
 
 
@@ -64,7 +69,7 @@ def test_config_round_trip():
 
 def test_config_round_trip_keeps_every_chain_field():
     base = default_config("coverage-noise")
-    chain = replace(base.chain, adapt=False, seed=7, replication=3, proposal_sd=0.2)
+    chain = replace(base.chain, total=7000, burn_in=3000)
     cfg = replace(base, chain=chain)
     back = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back.chain == chain
@@ -89,38 +94,25 @@ _jumps = st.one_of(
         subordinator_scale=_finite,
         center=st.booleans(),
     ),
-    st.builds(
-        TrimmedStable,
-        index=_finite,
-        scale=_finite,
-        trim_fraction=_finite,
-        center=st.booleans(),
-    ),
+    st.builds(TrimmedStable, index=_finite, scale=_finite, trim_fraction=_finite),
+)
+_priors = st.one_of(
+    st.builds(InverseGammaPrior, shape=_finite, scale=_finite),
+    st.builds(TruncatedNormalPrior, center=st.none() | _finite, sd=_finite, lower=_finite),
+    st.builds(UniformPrior, lo=_finite, hi=_finite),
+    st.builds(ExponentialPrior, rate=_finite),
 )
 
 
 @st.composite
 def _configs(draw):
     base = default_config(draw(st.sampled_from(EXPERIMENTS)))
-    chain = replace(
-        base.chain,
-        adapt=draw(st.booleans()),
-        proposal_sd=draw(st.none() | _finite),
-        seed=draw(st.integers(min_value=0, max_value=2**63)),
-    )
-    prior = replace(
-        base.prior,
-        family=draw(st.sampled_from(PRIOR_FAMILIES)),
-        shape=draw(_finite),
-        center=draw(st.none() | _finite),
-        sd=draw(_finite),
-        hi=draw(_finite),
-    )
+    counts = st.integers(min_value=0, max_value=2**63)
     return replace(
         base,
         model=replace(base.model, jump=draw(_jumps)),
-        chain=chain,
-        prior=prior,
+        chain=ChainConfig(total=draw(counts), burn_in=draw(counts)),
+        prior=draw(_priors),
         n_grid=tuple(draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1))),
     )
 
@@ -129,6 +121,27 @@ def _configs(draw):
 @given(_configs())
 def test_config_round_trips_through_json(cfg):
     assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, registry, path",
+    [("family", PRIOR_FAMILIES, ("prior",)), ("kind", JUMP_KINDS, ("model", "jump"))],
+    ids=["prior", "jump"],
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_field_foreign_to_the_drawn_family_is_refused_with_its_path(key, registry, path, data):
+    # a field that only another prior family (or jump kind) has is unknown here
+    names = {tag: {f.name for f in fields(cls)} for tag, cls in registry.items()}
+    tag = data.draw(st.sampled_from(sorted(registry)))
+    foreign = data.draw(st.sampled_from(sorted(set().union(*names.values()) - names[tag])))
+    obj = {key: tag, foreign: 1.0}
+    for step in reversed(path):
+        obj = {step: obj}
+    d = {"experiment": data.draw(st.sampled_from(EXPERIMENTS)), **obj}
+    where = ".".join(("config",) + path)
+    with pytest.raises(ConfigurationError, match=re.escape(f"['{foreign}'] in {where}")):
+        config_from_dict(d)
 
 
 def test_config_weight_is_written_by_name():
@@ -144,6 +157,14 @@ def test_config_weight_is_written_by_name():
     [
         ({"experiment": "bias-study", "replication": 5}, "['replication'] in config"),
         ({"prior": {"shap": 2.0}}, "['shap'] in config.prior"),
+        ({"prior": {"family": "inverse-gamma", "rate": 7}}, "['rate'] in config.prior"),
+        ({"prior": {"family": "gamma"}}, "prior family 'gamma' in config.prior"),
+        ({"chain": {"seed": 999, "replication": 5}}, "['replication', 'seed'] in config.chain"),
+        ({"chain": {"proposal_sd": 0.2, "adapt": False}}, "['adapt', 'proposal_sd'] in config.chain"),
+        (
+            {"experiment": "coverage-noise", "model": {"jump": {"center": True}}},
+            "['center'] in config.model.jump",
+        ),
         ({"model": {"jump": {"drfit": 0.1}}}, "['drfit'] in config.model.jump"),
         ({"model": {"jump": {"kind": "gauss"}}}, "jump kind 'gauss' in config.model.jump"),
         (
@@ -157,6 +178,11 @@ def test_config_weight_is_written_by_name():
     ids=[
         "top-level-key",
         "nested-key",
+        "foreign-prior-key",
+        "prior-family",
+        "chain-seed",
+        "chain-proposal",
+        "trimmed-stable-center",
         "jump-key",
         "jump-kind",
         "jump-required",
@@ -177,7 +203,10 @@ def test_config_refuses_malformed_input(d, message):
         ({"replications": 2.5}, "config.replications must be an integer"),
         ({"model": {"n": True}}, "config.model.n must be an integer"),
         ({"w": "0.39"}, "config.w must be a number"),
-        ({"prior": {"center": False}}, "config.prior.center must be a number"),
+        (
+            {"prior": {"family": "truncated-normal", "center": False}},
+            "config.prior.center must be a number",
+        ),
         ({"split_prior": 1}, "config.split_prior must be true or false"),
         ({"prior": {"family": 3}}, "config.prior.family must be a string"),
         ({"model": {"jump": {"kind": "compound-poisson", "rate": "5"}}}, "config.model.jump.rate"),
@@ -201,7 +230,8 @@ def test_config_refuses_values_of_the_wrong_type(d, message):
 
 
 def test_config_accepts_an_integer_for_a_number_and_null_for_an_optional():
-    cfg = config_from_dict({"w": 1, "prior": {"center": None}, "out_dir": None})
+    d = {"experiment": "coverage-noise", "w": 1, "prior": {"center": None}, "out_dir": None}
+    cfg = config_from_dict(d)
     assert cfg.w == 1 and cfg.prior.center is None and cfg.out_dir is None
 
 
@@ -219,6 +249,10 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
     "d",
     [
         {"experiment": "coverage-noise", "prior": {"family": "gamma"}},
+        {"experiment": "coverage-noise", "prior": {"sd": -0.06}},
+        {"experiment": "bias-study", "prior": {"shape": -5}},
+        {"experiment": "coverage-noise", "prior": {"family": "uniform", "lo": 3, "hi": 2}},
+        {"experiment": "coverage-noise", "prior": {"family": "exponential", "rate": 0}},
         {"experiment": "coverage-noise", "chain": {"total": 1500, "burn_in": 1000}},
         {"experiment": "compare-full-bayes", "joint_priors": {"p_a": -1}},
         {"experiment": "bias-study", "model": {"n": 500}, "prior": {"family": "uniform"}},
@@ -232,6 +266,10 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
     ],
     ids=[
         "prior-family",
+        "prior-sd",
+        "prior-shape",
+        "prior-bounds",
+        "prior-rate",
         "short-chain",
         "joint-prior",
         "bias-study-conjugate",

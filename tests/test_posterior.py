@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import gaussian_kde, invgamma, ks_2samp, norm
 
@@ -92,8 +93,8 @@ def test_temperature_monotonicity_of_variance():
 def test_mcmc_matches_conjugate_ks():
     dY, ctx = _gaussian_ctx(n=1000, seed=3)
     kappa = 0.8
-    chain = ChainConfig(total=25_000, burn_in=5_000, seed=42)
-    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, chain)
+    chain = ChainConfig(total=25_000, burn_in=5_000)
+    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, chain, seed=42)
     ana = tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, ctx.delta, kappa)
     exact = invgamma.rvs(
         ana.shape, scale=ana.scale, size=200_000, random_state=np.random.default_rng(7)
@@ -104,16 +105,16 @@ def test_mcmc_matches_conjugate_ks():
 
 def test_mcmc_deterministic_given_seed():
     _, ctx = _gaussian_ctx(n=300, seed=4)
-    chain = ChainConfig(total=3000, burn_in=1000, seed=5)
-    a = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain)
-    b = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain)
+    chain = ChainConfig(total=3000, burn_in=1000)
+    a = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain, seed=5)
+    b = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain, seed=5)
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_mcmc_respects_prior_support():
     _, ctx = _gaussian_ctx(theta=0.4, n=500, seed=6)
-    chain = ChainConfig(total=4000, burn_in=1000, seed=8)
-    emp = tempered_posterior_mcmc(UniformPrior(0.35, 0.5), ctx, 1.0, chain)
+    chain = ChainConfig(total=4000, burn_in=1000)
+    emp = tempered_posterior_mcmc(UniformPrior(0.35, 0.5), ctx, 1.0, chain, seed=8)
     assert emp.samples.min() >= 0.35
     assert emp.samples.max() <= 0.5
 
@@ -121,8 +122,8 @@ def test_mcmc_respects_prior_support():
 def test_mcmc_detailed_balance_three_state():
     # reversibility: transition counts between bins are symmetric
     _, ctx = _gaussian_ctx(n=400, seed=9)
-    chain = ChainConfig(total=40_000, burn_in=2_000, seed=10)
-    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain)
+    chain = ChainConfig(total=40_000, burn_in=2_000)
+    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain, seed=10)
     s = emp.samples
     edges = np.quantile(s, [1 / 3, 2 / 3])
     states = np.digitize(s, edges)
@@ -136,10 +137,13 @@ def test_mcmc_detailed_balance_three_state():
 
 
 def test_mcmc_acceptance_warning():
+    # a prior far narrower than the likelihood: the Laplace-calibrated
+    # proposal overshoots its support on almost every step
     _, ctx = _gaussian_ctx(n=300, seed=11)
-    chain = ChainConfig(total=3000, burn_in=1000, proposal_sd=60.0, seed=12, adapt=False)
+    chain = ChainConfig(total=3000, burn_in=1000)
     with pytest.warns(UserWarning, match="acceptance rate"):
-        tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, chain)
+        emp = tempered_posterior_mcmc(UniformPrior(0.3, 0.3001), ctx, 1.0, chain, seed=12)
+    assert emp.acceptance_rate < 0.05
 
 
 def _uncached_truncnorm_logpdf(prior, theta):
@@ -170,8 +174,8 @@ def _noisy_chain(total=3000):
     spec = ModelSpec(mu=0.0, theta=0.3, jump=NoJumps(), sigma_eps=0.01, n=2000)
     ctx = make_context(simulate_path(spec, 23).dY, spec.delta)
     prior = TruncatedNormalPrior(center=0.32, sd=0.05, lower=0.1)
-    chain = ChainConfig(total=total, burn_in=1000, seed=29)
-    return tempered_posterior_mcmc(prior, ctx, 1.3, chain)
+    chain = ChainConfig(total=total, burn_in=1000)
+    return tempered_posterior_mcmc(prior, ctx, 1.3, chain, seed=29)
 
 
 def test_noisy_chain_golden_values():
@@ -208,7 +212,14 @@ def test_chain_config_validation():
     with pytest.raises(ConfigurationError):
         ChainConfig(total=1000, burn_in=1000).validate()
     with pytest.raises(ConfigurationError):
-        ChainConfig(total=1500, burn_in=1000).validate()
+        ChainConfig(total=1000, burn_in=-1).validate()
+    # the Gibbs reference may keep few sweeps; the Metropolis chain may not
+    ChainConfig(total=1500, burn_in=1000).validate()
+    with pytest.raises(ConfigurationError, match="1000 retained draws"):
+        ChainConfig(total=1500, burn_in=1000).validate(posterior_module.MIN_RETAINED)
+    _, ctx = _gaussian_ctx(n=300, seed=4)
+    with pytest.raises(ConfigurationError, match="1000 retained draws"):
+        tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, ChainConfig(1500, 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +402,25 @@ def test_tv_disjoint_supports_one():
     assert tv_distance(a, b).value == pytest.approx(1.0, abs=1e-9)
 
 
+def _tv_quad(p, q):
+    # oracle: (1/2) int |f - g| by adaptive quadrature over both laws' ranges
+    lo = min(p.ppf(1e-12), q.ppf(1e-12))
+    hi = max(p.ppf(1 - 1e-12), q.ppf(1 - 1e-12))
+    val, _ = quad(lambda x: abs(float(p.pdf(x) - q.pdf(x))), lo, hi, limit=400, epsabs=1e-10)
+    return 0.5 * val
+
+
 def test_tv_normal_shift_closed_form():
     # TV(N(0,1), N(d,1)) = 2 Phi(d/2) - 1
     a = normal_reference(0.0, 1.0, -0.5, 1)
     b = normal_reference(0.1, 1.0, -0.5, 1)
     want = 2 * norm.cdf(0.05) - 1
-    got_cdf = tv_distance(a, b, method="cdf")
-    got_quad = tv_distance(a, b, method="quad")
-    assert got_cdf.value == pytest.approx(want, abs=1e-9)
-    assert got_quad.value == pytest.approx(want, abs=1e-6)
-    assert got_cdf.value == pytest.approx(got_quad.value, abs=1e-6)
+    got = tv_distance(a, b)
+    oracle = _tv_quad(a, b)
+    assert got.method == "cdf"
+    assert got.value == pytest.approx(want, abs=1e-9)
+    assert oracle == pytest.approx(want, abs=1e-6)
+    assert got.value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_tv_empirical_histogram():
@@ -459,8 +479,8 @@ def test_map_from_samples_within_two_bandwidths():
 def test_chain_mode_is_the_conjugate_map():
     dY, ctx = _gaussian_ctx(n=1000, seed=3)
     kappa = 0.8
-    chain = ChainConfig(total=6_000, burn_in=1_000, seed=42)
-    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, chain)
+    chain = ChainConfig(total=6_000, burn_in=1_000)
+    emp = tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, chain, seed=42)
     ana = tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, ctx.delta, kappa)
     # a search on values of a log-target of size |f| ~ n/kappa resolves its
     # mode only to about sd * sqrt(2 eps |f|): some 6e-8 relative, whatever n is
@@ -490,6 +510,31 @@ def test_prior_logpdfs():
     assert ex.logpdf(0.3) == pytest.approx(np.log(2) - 0.6, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [
+        InverseGammaPrior(shape=np.inf),
+        InverseGammaPrior(scale=0.0),
+        TruncatedNormalPrior(center=np.nan),
+        TruncatedNormalPrior(sd=-0.06),
+        TruncatedNormalPrior(lower=-np.inf),
+        UniformPrior(lo=0.5, hi=0.5),
+        UniformPrior(hi=np.inf),
+        ExponentialPrior(rate=-1.0),
+    ],
+    ids=repr,
+)
+def test_prior_validate_refuses_bad_parameters(prior):
+    with pytest.raises(ConfigurationError, match=type(prior).__name__):
+        prior.validate()
+
+
+def test_prior_validate_accepts_defaults_and_a_data_center():
+    for prior in (InverseGammaPrior(), TruncatedNormalPrior(), UniformPrior(), ExponentialPrior()):
+        prior.validate()
+    assert TruncatedNormalPrior().center is None
+
+
 def test_summarize_schema():
     dY, _ = _gaussian_ctx(n=500, seed=19)
     post = tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, 2e-3, 1.0)
@@ -501,15 +546,3 @@ def test_summarize_schema():
     kinds = {iv["kind"] for iv in out["intervals"]}
     assert kinds == {"HPD", "EqualTail", "WaldNormal"}
 
-
-def test_summarize_clip_at_zero_reporting_only():
-    # a large shift pushes mass negative; clipping affects only the report
-    dY, _ = _gaussian_ctx(n=500, seed=20)
-    post = adjust(tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, 2e-3, 1.0), 10.0)
-    raw = summarize(post)
-    clipped = summarize(post, clip_at_zero=True)
-    assert raw["mean"] < 0
-    assert clipped["mean"] == 0.0
-    assert clipped["clipped_at_zero"]
-    assert all(iv["lower"] >= 0.0 for iv in clipped["intervals"])
-    assert raw["intervals"][0]["lower"] < 0

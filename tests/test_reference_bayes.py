@@ -10,8 +10,8 @@ from scipy.special import log_ndtr
 from scipy.stats import invgamma, ks_2samp, norm
 
 from levyvol import (
+    ChainConfig,
     CompoundPoisson,
-    GibbsConfig,
     JointPriors,
     ModelSpec,
     gibbs_full_joint,
@@ -85,7 +85,7 @@ def test_gibbs_trajectory_bit_identical_to_direct_formula(monkeypatch):
     cfg = default_config("compare-full-bayes")
     spec = replace(cfg.model, n=2000)
     path = simulate_path(spec, cfg.master_seed, 3, cfg.m_aux)
-    kw = dict(chain=GibbsConfig(total=300, burn_in=100), seed=41, replication=3)
+    kw = dict(chain=ChainConfig(total=300, burn_in=100), seed=41, replication=3)
     fast = gibbs_full_joint(path.dY, spec.delta, cfg.joint_priors, **kw)
     with monkeypatch.context() as m:
         m.setattr(reference_bayes, "jump_indicator_probability", _direct_indicator_probability)
@@ -99,7 +99,7 @@ def test_marginal_theta_projection():
         mu=1.0, theta=10.0, jump=CompoundPoisson(rate=5.0, bernoulli_approx=True), n=500
     )
     path = simulate_path(spec, 3)
-    traj = gibbs_full_joint(path.dY, spec.delta, chain=GibbsConfig(total=800, burn_in=300), seed=4)
+    traj = gibbs_full_joint(path.dY, spec.delta, chain=ChainConfig(total=800, burn_in=300), seed=4)
     th = marginal_theta(traj)
     assert th.size == 500
     assert np.all(th > 0)
@@ -109,7 +109,7 @@ def test_marginal_theta_projection():
 def test_deterministic_given_seed():
     spec = ModelSpec(mu=0.0, theta=4.0, jump=CompoundPoisson(rate=3.0), n=300)
     path = simulate_path(spec, 5)
-    kw = dict(chain=GibbsConfig(total=400, burn_in=100), seed=9)
+    kw = dict(chain=ChainConfig(total=400, burn_in=100), seed=9)
     a = gibbs_full_joint(path.dY, spec.delta, **kw)
     b = gibbs_full_joint(path.dY, spec.delta, **kw)
     assert np.array_equal(a.theta, b.theta)
@@ -124,7 +124,7 @@ def test_no_jump_prior_recovers_conjugate_posterior():
     path = simulate_path(spec, 11)
     priors = JointPriors(p_a=1.0, p_b=1e6, theta_shape=1.0, theta_scale=1.0)
     traj = gibbs_full_joint(
-        path.dY, spec.delta, priors, GibbsConfig(total=22_000, burn_in=2_000), seed=13
+        path.dY, spec.delta, priors, ChainConfig(total=22_000, burn_in=2_000), seed=13
     )
     th = marginal_theta(traj)
     # conjugate reference at mu = 0 (the mu posterior is prior-dominated and
@@ -168,7 +168,7 @@ def test_geweke_successive_conditional_moments():
             dX,
             delta,
             priors,
-            GibbsConfig(total=1, burn_in=0),
+            ChainConfig(total=1, burn_in=0),
             seed=10_000 + r,
             init=(mu, theta, p),
         )
@@ -190,7 +190,7 @@ def test_chain_dump_csv(tmp_path):
     path = simulate_path(spec, 21)
     out = tmp_path / "chain.csv"
     gibbs_full_joint(
-        path.dY, spec.delta, chain=GibbsConfig(total=50, burn_in=10), seed=23, dump_csv=str(out)
+        path.dY, spec.delta, chain=ChainConfig(total=50, burn_in=10), seed=23, dump_csv=str(out)
     )
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iter,mu,theta,p,n_jumps"
@@ -207,7 +207,7 @@ def test_recovers_truth_on_benchmark_design():
     )
     path = simulate_path(spec, 29)
     traj = gibbs_full_joint(
-        path.dY, spec.delta, chain=GibbsConfig(total=4000, burn_in=1000), seed=31
+        path.dY, spec.delta, chain=ChainConfig(total=4000, burn_in=1000), seed=31
     )
     th = marginal_theta(traj)
     assert abs(np.mean(th) - 10.0) < 4 * np.std(th)
