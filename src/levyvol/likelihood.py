@@ -127,15 +127,40 @@ def noise_log_det(a: float, s: float, n: int) -> float:
     )
 
 
+def log_det(theta: float, ctx: LikelihoodContext) -> float:
+    """sum_j mult * log lambda_j(theta): n log(theta*delta) without noise, the
+    closed form ``noise_log_det`` with it."""
+    if ctx.sigma_eps2 == 0.0:
+        return ctx.mult * np.log(theta * ctx.delta + ctx.offsets).sum()
+    return noise_log_det(theta * ctx.delta, ctx.sigma_eps2, ctx.n)
+
+
 def loglik(theta: float, ctx: LikelihoodContext) -> float:
     """Quasi-log-likelihood -1/2 sum_j [log lambda_j + R_j^2/lambda_j]."""
     _check_theta(theta, ctx)
     lam = theta * ctx.delta + ctx.offsets
-    if ctx.sigma_eps2 == 0.0:
-        log_det = ctx.mult * np.log(lam).sum()
-    else:
-        log_det = noise_log_det(theta * ctx.delta, ctx.sigma_eps2, ctx.n)
-    return float(-0.5 * (log_det + (ctx.R2 / lam).sum()))
+    return float(-0.5 * (log_det(theta, ctx) + (ctx.R2 / lam).sum()))
+
+
+def quasi_sum_taylor(theta_c: float, ctx: LikelihoodContext, order: int) -> np.ndarray:
+    """Taylor coefficients of S(theta) = sum_j R2_j / lambda_j(theta) about
+    theta_c: a_k = (-delta)^k sum_j R2_j / lambda_j(theta_c)^(k+1), k < order,
+    so that S(theta) = sum_k a_k (theta - theta_c)^k; one O(n) pass each.
+
+    As every offset is >= 0, r = |theta - theta_c| / theta_c bounds each
+    ratio delta |theta - theta_c| / lambda_j(theta_c), so for r < 1 the
+    series converges and its tail past ``order`` terms is at most
+    a_0 r^order / (1 - r).
+    """
+    lam = theta_c * ctx.delta + ctx.offsets
+    ratio = -ctx.delta / lam
+    w = ctx.R2 / lam
+    coeffs = np.empty(order)
+    for k in range(order):
+        if k:
+            w *= ratio
+        coeffs[k] = w.sum()
+    return coeffs
 
 
 def score(theta: float, ctx: LikelihoodContext) -> float:

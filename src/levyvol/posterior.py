@@ -21,7 +21,7 @@ from scipy.special import gammainccinv
 from scipy.stats import invgamma, norm
 
 from .errors import ConfigurationError
-from .likelihood import LikelihoodContext, loglik, loglik_hess, mle
+from .likelihood import LikelihoodContext, log_det, loglik, loglik_hess, mle, quasi_sum_taylor
 from .rng import stream
 
 # ---------------------------------------------------------------------------
@@ -106,6 +106,10 @@ class UniformPrior:
         _check_parameters(self)
         if not self.lo < self.hi:
             raise ConfigurationError(f"UniformPrior needs lo < hi, got ({self.lo}, {self.hi})")
+        if self.hi <= 0:
+            raise ConfigurationError(
+                f"UniformPrior needs hi > 0 to meet the variance's domain, got hi = {self.hi}"
+            )
 
     def logpdf(self, theta: float) -> float:
         if not self.lo < theta < self.hi:
@@ -265,6 +269,11 @@ class IntervalReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_kappa(kappa: float) -> None:
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ConfigurationError(f"kappa must be a finite number > 0, got {kappa}")
+
+
 def tempered_posterior_conjugate(
     prior: InverseGammaPrior, dY: np.ndarray, delta: float, kappa: float
 ) -> AnalyticPosterior:
@@ -272,8 +281,7 @@ def tempered_posterior_conjugate(
     InvGamma(shape + n/(2 kappa), scale + sum(dY^2)/(2 delta kappa))."""
     if not isinstance(prior, InverseGammaPrior):
         raise ConfigurationError("conjugate posterior needs an inverse-gamma prior")
-    if kappa <= 0:
-        raise ConfigurationError("kappa must be > 0")
+    _check_kappa(kappa)
     dY = np.asarray(dY, dtype=np.float64)
     n = dY.size
     return AnalyticPosterior(
@@ -287,6 +295,45 @@ def tempered_posterior_conjugate(
 # the Metropolis chain keeps at least this many draws: its HPD window, its
 # histogram TV and its mode search are all read off the retained draws
 MIN_RETAINED = 1000
+
+# The chain sums S(theta) = sum_j R2_j / lambda_j(theta) by its Taylor series
+# of SERIES_ORDER = K terms about the nearest centre theta_c on the ladder
+# theta_tilde * CENTRE_RATIO**m (theta_tilde the chain's start). Nearest in
+# log theta puts theta/theta_c in [q^-1/2, q^1/2], so r = |theta -
+# theta_c|/theta_c <= sqrt(q) - 1 = 0.0583 at q = 1.12, and the truncation
+# a_0 r^K/(1 - r) is 5.6e-18 a_0 at K = 14: a twentieth of the 2^-53 a_0 =
+# 1.1e-16 a_0 that rounding adds to the series bound at any n, so truncation
+# never widens it. K = 13 leaves 9.5e-17 a_0, at that floor, and K = 12
+# 1.6e-15 a_0. The ratio trades centres (K O(n) passes each; a coverage-noise
+# chain visits 13-14) against the K Horner steps every proposal costs.
+SERIES_ORDER = 14
+CENTRE_RATIO = 1.12
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _series_sum(theta_c: float, coeffs: list, theta: float, terms: int) -> tuple[float, float]:
+    """S(theta) by Horner's rule over the Taylor coefficients ``coeffs``
+    (highest order first) about theta_c, and a bound on its distance from
+    S(theta) as `loglik` sums it in floats over ``terms`` addends; needs
+    |theta - theta_c| < theta_c/2.
+
+    With a_0 = S(theta_c), r = |theta - theta_c|/theta_c and u = 2^-53: the
+    truncation is at most a_0 r^K/(1 - r); each coefficient is a same-sign
+    sum of ``terms`` addends built in at most 4K roundings, off by at most
+    (terms + 4K) u a_0/(1 - r) once weighted by r^k; Horner's 2K roundings
+    add 2K u a_0/(1 - r); and the float sum `loglik` forms is within
+    (terms + 3) u S(theta) <= (terms + 3) u a_0/(1 - r) of S(theta). The
+    bound doubles the rounding part and divides once more by 1 - r for
+    second-order terms.
+    """
+    h = theta - theta_c  # exact: theta/theta_c lies in [1/2, 2] (Sterbenz)
+    s = 0.0
+    for a in coeffs:
+        s = s * h + a
+    r = abs(h) / theta_c
+    order = len(coeffs)
+    rounding = 4 * (terms + 3 * order + 4) * UNIT_ROUNDOFF
+    return s, coeffs[-1] * (r**order + rounding) / (1 - r) ** 2
 
 
 @dataclass(frozen=True)
@@ -320,15 +367,34 @@ def tempered_posterior_mcmc(
     The proposal s.d. starts at 2.4 times the Laplace posterior s.d. at the
     quasi-MLE and is rescaled once halfway through burn-in, then frozen so
     the retained chain is Markovian. Proposals outside the prior support are
-    rejected, never raised. Deterministic given (seed, replication).
+    rejected, never raised. Deterministic given (seed, replication). A
+    truncated-normal prior needs its center resolved (``fit_noise`` centers
+    it on the data) before the chain runs.
+
+    Each step sums S(theta) = sum_j R_j^2/lambda_j(theta) by Horner's rule
+    over the ``SERIES_ORDER`` Taylor coefficients (``quasi_sum_taylor``) about
+    the nearest centre of the ladder theta_tilde * CENTRE_RATIO**m, built as
+    the chain visits it; the closed-form log-determinant, the prior and the
+    Jacobian complete the log-target. The step carries a bound eps on the
+    distance of that value from the float the exact log-target (loglik/kappa
+    + log prior + log theta) returns, and decides with the series value when
+    |log u - (lpp - lp)| > eps_prop + eps_cur. Otherwise it evaluates the
+    exact log-target at both points and decides with those, so every
+    decision, draw and rescale is the exact per-step chain's, bit for bit.
+    ``chain_meta["exact_evals"]`` counts the exact evaluations these
+    decisions took.
 
     The mode of loglik(theta)/kappa + log prior(theta) on the theta scale is
     found by one bounded scalar search over the range of the retained draws,
     to 1e-9 of their s.d. (scipy's search adds sqrt(eps)|theta| of its own).
     """
     chain.validate(MIN_RETAINED)
-    if kappa <= 0:
-        raise ConfigurationError("kappa must be > 0")
+    _check_kappa(kappa)
+    if isinstance(prior, TruncatedNormalPrior) and prior.center is None:
+        raise ConfigurationError(
+            "TruncatedNormalPrior.center is None: resolve the data-centered prior "
+            "to a number before running a chain"
+        )
     rng = stream(seed, replication, "chain")
 
     lo_s, hi_s = prior.support
@@ -346,22 +412,56 @@ def tempered_posterior_mcmc(
             return -np.inf
         return loglik(theta, ctx) / kappa + prior.logpdf(theta) + np.log(theta)
 
-    curv = -loglik_hess(theta0, ctx)
-    sd = 2.4 * np.sqrt(kappa / curv) / theta0 if curv > 0 else 0.5
+    x0, log_q, terms = float(np.log(theta0)), float(np.log(CENTRE_RATIO)), ctx.R2.size
+    centres = {}
 
-    x = np.log(theta0)
-    lp = log_target(theta0)
+    def series_target(theta: float, log_theta: float) -> tuple[float, float]:
+        # log_target(theta) with S(theta) from the series, and a bound on the
+        # distance between the two floats. The bound adds to the series bound
+        # 16u times the magnitudes the sums pass through, plus one: that
+        # covers the roundings of the additions in both evaluations, of
+        # log_theta (the proposal) against np.log(theta), and of lpp - lp.
+        m = round((log_theta - x0) / log_q)
+        centre = centres.get(m)
+        if centre is None:
+            theta_c = theta0 * CENTRE_RATIO**m
+            coeffs = quasi_sum_taylor(theta_c, ctx, SERIES_ORDER)[::-1].tolist()
+            centre = centres[m] = (theta_c, coeffs)
+        s, s_err = _series_sum(*centre, theta, terms)
+        det = log_det(theta, ctx)
+        lprior = prior.logpdf(theta)
+        value = -0.5 * (det + s) / kappa + lprior + log_theta
+        mags = (abs(det) + abs(s) + s_err) / kappa + abs(lprior) + abs(log_theta) + 1.0
+        return value, 0.5 * s_err / kappa + 16 * UNIT_ROUNDOFF * mags
+
+    curv = -loglik_hess(theta0, ctx)
+    sd = float(2.4 * np.sqrt(kappa / curv) / theta0 if curv > 0 else 0.5)
+
+    x = x0
+    lp, eps = log_target(theta0), 0.0
+    exact_evals = 0
     draws = np.empty(chain.total)
-    z = rng.standard_normal(chain.total)
-    logu = np.log(rng.uniform(size=chain.total))
+    z = rng.standard_normal(chain.total).tolist()
+    logu = np.log(rng.uniform(size=chain.total)).tolist()
     adapt_at = chain.burn_in // 2
     accepted_window = 0
     accepted_kept = 0
     for i in range(chain.total):
         prop = x + sd * z[i]
-        lpp = log_target(np.exp(prop))
+        theta = float(np.exp(prop))
+        if lo < theta < hi:
+            lpp, eps_p = series_target(theta, prop)
+        else:
+            lpp, eps_p = -np.inf, 0.0
+        if not abs(logu[i] - (lpp - lp)) > eps_p + eps:
+            # too close to call on the series: decide on the exact log-target
+            if eps:
+                lp, eps = log_target(float(np.exp(x))), 0.0
+                exact_evals += 1
+            lpp, eps_p = log_target(theta), 0.0
+            exact_evals += 1
         if logu[i] < lpp - lp:
-            x, lp = prop, lpp
+            x, lp, eps = prop, lpp, eps_p
             accepted_window += 1
             if i >= chain.burn_in:
                 accepted_kept += 1
@@ -395,6 +495,7 @@ def tempered_posterior_mcmc(
             "burn_in": chain.burn_in,
             "proposal_sd": float(sd),
             "seed": seed,
+            "exact_evals": exact_evals,
         },
     )
 

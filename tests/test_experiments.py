@@ -252,6 +252,7 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         {"experiment": "coverage-noise", "prior": {"sd": -0.06}},
         {"experiment": "bias-study", "prior": {"shape": -5}},
         {"experiment": "coverage-noise", "prior": {"family": "uniform", "lo": 3, "hi": 2}},
+        {"experiment": "coverage-noise", "prior": {"family": "uniform", "lo": -2, "hi": -1}},
         {"experiment": "coverage-noise", "prior": {"family": "exponential", "rate": 0}},
         {"experiment": "coverage-noise", "chain": {"total": 1500, "burn_in": 1000}},
         {"experiment": "compare-full-bayes", "joint_priors": {"p_a": -1}},
@@ -269,6 +270,7 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         "prior-sd",
         "prior-shape",
         "prior-bounds",
+        "prior-below-zero",
         "prior-rate",
         "short-chain",
         "joint-prior",

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import gaussian_kde, invgamma, ks_2samp, norm
 
 import levyvol.posterior as posterior_module
@@ -25,6 +26,7 @@ from levyvol import (
     hpd_interval,
     loglik,
     make_context,
+    mle,
     normal_reference,
     point_estimates,
     simulate_path,
@@ -33,6 +35,8 @@ from levyvol import (
     tempered_posterior_mcmc,
     tv_distance,
 )
+from levyvol.likelihood import loglik_hess, quasi_sum_taylor
+from levyvol.rng import stream
 
 
 def _gaussian_ctx(theta=0.4, n=1000, seed=0):
@@ -144,6 +148,7 @@ def test_mcmc_acceptance_warning():
     with pytest.warns(UserWarning, match="acceptance rate"):
         emp = tempered_posterior_mcmc(UniformPrior(0.3, 0.3001), ctx, 1.0, chain, seed=12)
     assert emp.acceptance_rate < 0.05
+    _assert_same_chain(emp, _per_step_chain(UniformPrior(0.3, 0.3001), ctx, 1.0, chain, seed=12))
 
 
 def _uncached_truncnorm_logpdf(prior, theta):
@@ -220,6 +225,129 @@ def test_chain_config_validation():
     _, ctx = _gaussian_ctx(n=300, seed=4)
     with pytest.raises(ConfigurationError, match="1000 retained draws"):
         tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, ChainConfig(1500, 1000))
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, 0.0], ids=repr)
+def test_posterior_builders_refuse_a_kappa_that_is_not_finite_and_positive(kappa):
+    dY, ctx = _gaussian_ctx(n=300, seed=4)
+    with pytest.raises(ConfigurationError, match="kappa"):
+        tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, kappa, ChainConfig(2000, 1000))
+    with pytest.raises(ConfigurationError, match="kappa"):
+        tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, ctx.delta, kappa)
+
+
+def test_chain_refuses_a_data_centered_prior_left_unresolved():
+    ctx = _noisy_ctx(n=800)
+    with pytest.raises(ConfigurationError, match="center"):
+        tempered_posterior_mcmc(TruncatedNormalPrior(), ctx, 1.0, ChainConfig(2000, 1000))
+
+
+# ---------------------------------------------------------------------------
+# the series log-target decides exactly as the per-step chain
+# ---------------------------------------------------------------------------
+
+
+def _per_step_chain(prior, ctx, kappa, chain, seed):
+    # oracle: the chain that evaluates the exact log-target on every step
+    rng = stream(seed, 0, "chain")
+    lo = max(prior.support[0], ctx.theta_min)
+    hi = min(prior.support[1], ctx.theta_max)
+    theta0 = float(np.clip(mle(ctx).theta, lo * (1 + 1e-6), hi * (1 - 1e-6)))
+
+    def log_target(theta):
+        if not lo < theta < hi:
+            return -np.inf
+        return loglik(theta, ctx) / kappa + prior.logpdf(theta) + np.log(theta)
+
+    curv = -loglik_hess(theta0, ctx)
+    sd = 2.4 * np.sqrt(kappa / curv) / theta0 if curv > 0 else 0.5
+    x, lp = np.log(theta0), log_target(theta0)
+    draws = np.empty(chain.total)
+    z = rng.standard_normal(chain.total)
+    logu = np.log(rng.uniform(size=chain.total))
+    accepted_window = accepted_kept = 0
+    for i in range(chain.total):
+        prop = x + sd * z[i]
+        lpp = log_target(np.exp(prop))
+        if logu[i] < lpp - lp:
+            x, lp = prop, lpp
+            accepted_window += 1
+            accepted_kept += i >= chain.burn_in
+        draws[i] = x
+        if i == chain.burn_in // 2 and i > 0:
+            sd *= float(np.clip(accepted_window / (i + 1) / 0.44, 0.2, 5.0))
+    kept = np.exp(draws[chain.burn_in :])
+    mode = minimize_scalar(
+        lambda t: -(loglik(t, ctx) / kappa + prior.logpdf(t)),
+        bounds=(kept.min(), kept.max()),
+        method="bounded",
+        options={"xatol": 1e-9 * np.std(kept)},
+    ).x
+    return kept, accepted_kept / (chain.total - chain.burn_in), float(sd), float(mode)
+
+
+def _assert_same_chain(emp, oracle):
+    samples, acc, sd, mode = oracle
+    assert np.array_equal(emp.samples, samples)
+    assert np.array_equal(emp.acceptance_rate, acc)
+    assert np.array_equal(emp.chain_meta["proposal_sd"], sd)
+    assert np.array_equal(emp.mode, mode)
+
+
+def _noisy_ctx(n=2000, seed=23):
+    spec = ModelSpec(mu=0.0, theta=0.3, jump=NoJumps(), sigma_eps=0.01, n=n)
+    return make_context(simulate_path(spec, seed).dY, spec.delta)
+
+
+_FAMILIES = [
+    InverseGammaPrior(1, 1),
+    TruncatedNormalPrior(center=0.32, sd=0.05, lower=0.1),
+    UniformPrior(0.1, 0.6),
+    ExponentialPrior(2.0),
+]
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("prior", _FAMILIES, ids=lambda p: type(p).__name__)
+def test_series_chain_matches_the_per_step_chain(prior, noisy):
+    ctx = _noisy_ctx()
+    if not noisy:
+        ctx = make_context(ctx.dY, ctx.delta, sigma_eps2=0.0)
+    chain = ChainConfig(total=4000, burn_in=1000)
+    emp = tempered_posterior_mcmc(prior, ctx, 1.3, chain, seed=29)
+    _assert_same_chain(emp, _per_step_chain(prior, ctx, 1.3, chain, seed=29))
+
+
+def test_a_first_order_series_defers_to_the_exact_target(monkeypatch):
+    # one term leaves a truncation of order r * S: nearly every decision
+    # falls inside the bound and is taken on the exact log-target
+    monkeypatch.setattr(posterior_module, "SERIES_ORDER", 1)
+    ctx, prior = _noisy_ctx(), _FAMILIES[1]
+    chain = ChainConfig(total=3000, burn_in=1000)
+    emp = tempered_posterior_mcmc(prior, ctx, 1.3, chain, seed=29)
+    assert emp.chain_meta["exact_evals"] > chain.total // 2
+    _assert_same_chain(emp, _per_step_chain(prior, ctx, 1.3, chain, seed=29))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 20_000),
+    sigma_eps2=st.one_of(st.just(0.0), st.floats(1e-8, 1e-2)),
+    r=st.floats(0.0, math.sqrt(posterior_module.CENTRE_RATIO) - 1.0),
+    side=st.sampled_from([-1.0, 1.0]),
+    order=st.integers(1, posterior_module.SERIES_ORDER),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_series_sum_stays_within_its_bound(n, sigma_eps2, r, side, order, seed):
+    # orders below SERIES_ORDER make the truncation term, not rounding, bind
+    theta_c, delta = 0.3, 1.0 / n
+    dY = np.random.default_rng(seed).normal(0.0, math.sqrt(theta_c * delta + 2 * sigma_eps2), n)
+    ctx = make_context(dY, delta, sigma_eps2=sigma_eps2)
+    theta = theta_c * (1.0 + side * r)
+    coeffs = quasi_sum_taylor(theta_c, ctx, order)[::-1].tolist()
+    series, bound = posterior_module._series_sum(theta_c, coeffs, theta, ctx.R2.size)
+    exact = math.fsum(ctx.R2 / (theta * delta + ctx.offsets))
+    assert abs(series - exact) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +648,7 @@ def test_prior_logpdfs():
         TruncatedNormalPrior(lower=-np.inf),
         UniformPrior(lo=0.5, hi=0.5),
         UniformPrior(hi=np.inf),
+        UniformPrior(lo=-2.0, hi=-1.0),
         ExponentialPrior(rate=-1.0),
     ],
     ids=repr,
