@@ -10,6 +10,7 @@ location shift recenters it at a jump-robust estimate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -45,6 +46,11 @@ def _check_parameters(prior, *positive: str) -> None:
 
 @dataclass(frozen=True)
 class InverseGammaPrior:
+    """InvGamma(shape, scale). The log-normaliser shape*log(scale) -
+    lgamma(shape) is computed once per instance and cached, so ``logpdf``
+    costs a few float operations and no ``scipy.stats`` call inside a
+    Metropolis loop."""
+
     shape: float = 1.0
     scale: float = 1.0
 
@@ -53,10 +59,14 @@ class InverseGammaPrior:
     def validate(self) -> None:
         _check_parameters(self, "shape", "scale")
 
+    @cached_property
+    def _log_norm(self):
+        return self.shape * math.log(self.scale) - math.lgamma(self.shape)
+
     def logpdf(self, theta: float) -> float:
         if theta <= 0:
             return -np.inf
-        return float(invgamma.logpdf(theta, self.shape, scale=self.scale))
+        return float(self._log_norm - (self.shape + 1.0) * math.log(theta) - self.scale / theta)
 
 
 @dataclass(frozen=True)

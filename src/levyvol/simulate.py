@@ -167,6 +167,18 @@ def _as_rng(rng: np.random.Generator | int) -> np.random.Generator:
     return stream(int(rng), 0, "jumps")
 
 
+# Stuart's representation: Gamma(a, 1) = Y * U**(1/a), Y ~ Gamma(1 + a, 1) and
+# U ~ U(0, 1) independent. A cell with U**(1/a) < exp(-UNDERFLOW_LOG) is set to
+# 0 undrawn: exp(-745) < 2**-1074, the least positive subnormal, so its
+# increment G = c*Y*U**(1/a) < c*Y * 4.9e-324 is zero or subnormal, its jump
+# increment drift*G + diffusion*sqrt(G)*Z is at most about
+# |diffusion| * sqrt(c*Y) * 7e-162 * |Z|, and its square, the cell's share of
+# jump_qv, underflows to 0. A cell is kept when U >= exp(-UNDERFLOW_LOG * a),
+# with probability p = 1 - exp(-UNDERFLOW_LOG * a), and given that,
+# U = 1 - p*W with W ~ U(0, 1).
+UNDERFLOW_LOG = 745.0
+
+
 def simulate_vg_increments(
     drift: float,
     diffusion: float,
@@ -177,13 +189,30 @@ def simulate_vg_increments(
 ) -> np.ndarray:
     """Variance-gamma jump increments on a grid with spacing delta.
 
-    ``rng`` is a Generator or an integer seed.
+    The subordinator increments are Gamma(a, c) with a = delta / c and
+    c = ``subordinator_scale``. Only the cells whose increment can be
+    non-zero in floating point are drawn (see ``UNDERFLOW_LOG``): their
+    count is Binomial(n, p), their positions a uniform subset, so about
+    n*p <= UNDERFLOW_LOG * n * delta / c cells are drawn whatever the grid
+    spacing. Every other cell is 0. ``rng`` is a Generator or an
+    integer seed.
     """
     if subordinator_scale <= 0:
         raise ConfigurationError("subordinator_scale must be > 0")
+    if not delta > 0:
+        raise ConfigurationError(f"delta must be > 0, got {delta}")
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = _as_rng(rng)
-    dG = rng.gamma(delta / subordinator_scale, subordinator_scale, size=n)
-    return drift * dG + diffusion * np.sqrt(dG) * rng.standard_normal(n)
+    a = delta / subordinator_scale
+    p = -np.expm1(-UNDERFLOW_LOG * a)
+    k = int(rng.binomial(n, p))
+    cells = rng.choice(n, k, replace=False)
+    u_root = np.exp(np.log1p(-p * rng.uniform(size=k)) / a)
+    dG = subordinator_scale * rng.gamma(1.0 + a, size=k) * u_root
+    out = np.zeros(n)
+    out[cells] = drift * dG + diffusion * np.sqrt(dG) * rng.standard_normal(k)
+    return out
 
 
 def simulate_stable_trimmed(
@@ -201,8 +230,7 @@ def simulate_stable_trimmed(
     x = scale * delta ** (1.0 / index) * _stable_symmetric_std(rng, index, n)
     m = int(np.floor(trim_fraction * n))
     if m > 0:
-        cut = np.argsort(np.abs(x))[n - m :]
-        x[cut] = 0.0
+        x[np.argpartition(np.abs(x), n - m)[n - m :]] = 0.0
     return x
 
 

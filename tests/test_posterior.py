@@ -638,6 +638,22 @@ def test_prior_logpdfs():
     assert ex.logpdf(0.3) == pytest.approx(np.log(2) - 0.6, rel=1e-12)
 
 
+def test_inverse_gamma_logpdf_matches_scipy():
+    for shape in (0.5, 1.0, 2.5, 10.0, 100.0):
+        for scale in (1e-3, 0.1, 1.0, 7.0, 50.0):
+            prior = InverseGammaPrior(shape, scale)
+            for theta in np.logspace(-4, 4, 81):
+                want = invgamma.logpdf(theta, shape, scale=scale)
+                assert prior.logpdf(float(theta)) == pytest.approx(want, rel=1e-12)
+
+
+def test_inverse_gamma_chain_makes_no_scipy_call(monkeypatch):
+    calls = _counting(monkeypatch, posterior_module.invgamma, "logpdf")
+    _, ctx = _gaussian_ctx(n=500, seed=19)
+    tempered_posterior_mcmc(InverseGammaPrior(1, 1), ctx, 1.0, ChainConfig(2000, 1000), seed=3)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "prior",
     [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from levyvol import (
     CompoundPoisson,
@@ -13,7 +14,7 @@ from levyvol import (
     simulate_vg_increments,
 )
 from levyvol.rng import stream
-from levyvol.simulate import dump_path_csv
+from levyvol.simulate import UNDERFLOW_LOG, dump_path_csv
 
 
 def test_degenerate_model_is_identically_zero():
@@ -95,6 +96,71 @@ def test_vg_variance_matches_moment_formula():
     assert abs(dJ.var() - target) < 3 * se
 
 
+def _dense_vg_increments(drift, diffusion, subordinator_scale, n, delta, rng):
+    """Oracle: one Gamma(delta/c, c) draw per cell, most of which underflow
+    to 0 at a fine grid spacing."""
+    dG = rng.gamma(delta / subordinator_scale, subordinator_scale, size=n)
+    return drift * dG + diffusion * np.sqrt(dG) * rng.standard_normal(n)
+
+
+def _vg_cells(sampler, seed, paths, n, m_aux):
+    """Cell sums (pooled over paths) and per-path QV on an n * m_aux grid."""
+    sums, qvs = [], []
+    for r in range(paths):
+        fine = sampler(-0.2, 0.2, 0.23, n * m_aux, 1.0 / (n * m_aux), stream(seed, r, "jumps"))
+        sums.append(fine.reshape(n, m_aux).sum(axis=1))
+        qvs.append(np.sum(fine**2))
+    return np.concatenate(sums), np.asarray(qvs)
+
+
+def test_vg_sampler_matches_the_dense_sampler_in_law():
+    sums, qvs = _vg_cells(simulate_vg_increments, 61, 200, 200, 64)
+    ref_sums, ref_qvs = _vg_cells(_dense_vg_increments, 62, 200, 200, 64)
+    assert ks_2samp(sums, ref_sums).pvalue > 1e-3
+    assert ks_2samp(qvs, ref_qvs).pvalue > 1e-3
+    # theory: E[QV] = (a^2 c + b^2) T
+    target = (0.04 * 0.23 + 0.04) * 1.0
+    assert abs(qvs.mean() - target) < 4 * qvs.std() / np.sqrt(qvs.size)
+
+
+def test_vg_sampler_at_a_large_shape_draws_every_cell():
+    # delta / c = 1, so p = 1 - exp(-745) rounds to 1 and every cell is drawn
+    new = simulate_vg_increments(-0.2, 0.2, 0.01, 20_000, 0.01, stream(63, 0, "jumps"))
+    ref = _dense_vg_increments(-0.2, 0.2, 0.01, 20_000, 0.01, stream(64, 0, "jumps"))
+    assert np.count_nonzero(new) == new.size
+    assert ks_2samp(new, ref).pvalue > 1e-3
+
+
+def test_vg_drawn_cell_count_is_binomial_and_flat_in_m_aux():
+    # K ~ Binomial(N, p) with N * p < UNDERFLOW_LOG * T / c at every m_aux:
+    # 64 and 256 cells per increment draw about the same number of cells
+    limit = UNDERFLOW_LOG / 0.23
+    means = []
+    for m_aux in (64, 256):
+        n = 5000 * m_aux
+        p = -np.expm1(-UNDERFLOW_LOG / n / 0.23)
+        assert n * p < limit
+        counts = []
+        for r in range(20):
+            fine = simulate_vg_increments(-0.2, 0.2, 0.23, n, 1.0 / n, stream(66, r, "jumps"))
+            counts.append(np.count_nonzero(fine))
+            assert abs(counts[-1] - n * p) < 4 * np.sqrt(n * p * (1 - p))
+        means.append(np.mean(counts))
+    assert abs(means[0] - means[1]) < 4 * np.sqrt(2 * limit / 20)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan])
+def test_vg_increments_refuse_a_bad_spacing(delta):
+    with pytest.raises(ConfigurationError, match="delta"):
+        simulate_vg_increments(-0.2, 0.2, 0.23, 100, delta, 1)
+
+
+def test_vg_increments_refuse_a_negative_count():
+    with pytest.raises(ConfigurationError, match="n must be"):
+        simulate_vg_increments(-0.2, 0.2, 0.23, -1, 1e-3, 1)
+    assert simulate_vg_increments(-0.2, 0.2, 0.23, 0, 1e-3, 1).size == 0
+
+
 def test_stable_trim_count_and_order():
     rng = stream(23, 0, "jumps")
     x = simulate_stable_trimmed(0.5, 1.0, 0.02, 100, 1e-2, rng)
@@ -105,6 +171,17 @@ def test_stable_trim_count_and_order():
     assert np.array_equal(kept, x[x != 0.0])
     # the zeroed entries are exactly the two largest in magnitude
     assert set(np.nonzero(x == 0.0)[0]) == set(np.argsort(np.abs(raw))[-2:])
+
+
+@pytest.mark.parametrize("index", [0.5, 1.5])
+def test_stable_trim_zeroes_the_largest_like_a_full_sort(index):
+    n, m = 23_400, int(np.floor(0.02 * 23_400))
+    for r in range(20):
+        x = simulate_stable_trimmed(index, 1.0, 0.02, n, 1.0 / n, stream(67, r, "jumps"))
+        raw = simulate_stable_trimmed(index, 1.0, 0.0, n, 1.0 / n, stream(67, r, "jumps"))
+        want = raw.copy()
+        want[np.argsort(np.abs(raw))[n - m :]] = 0.0
+        assert np.array_equal(x, want)
 
 
 def test_stable_tail_index_hill():
