@@ -61,6 +61,8 @@ def _build_config(args):
         cfg = replace(cfg, out_dir=args.out)
     if args.n is not None:
         cfg = replace(cfg, model=replace(cfg.model, n=args.n))
+    if cfg.master_seed < 0:  # simulate, estimate and posterior seed streams without `run`
+        raise ConfigurationError(f"master_seed must be >= 0, got {cfg.master_seed}")
     return cfg
 
 
@@ -93,8 +95,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _one_replication(args):
+    """Config of `estimate` and `posterior`, which seed the streams of
+    replication --rep themselves instead of going through `run`."""
+    if args.rep < 0:
+        raise ConfigurationError(f"--rep must be >= 0, got {args.rep}")
+    return _build_config(args)
+
+
 def _cmd_estimate(args) -> int:
-    cfg = _build_config(args)
+    cfg = _one_replication(args)
     path = simulate_path(cfg.model, cfg.master_seed, args.rep, cfg.m_aux)
     if cfg.model.sigma_eps == 0:
         report = estimate_no_noise(path.dY, cfg.model.delta, cfg.w, cfg.bg_index)
@@ -105,7 +115,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
-    cfg = _build_config(args)
+    cfg = _one_replication(args)
     path = simulate_path(cfg.model, cfg.master_seed, args.rep, cfg.m_aux)
     fit = fit_path(path.dY, cfg.model.delta, cfg, args.rep)
     out = summarize(fit.adjusted, fit.reference, cfg.level)

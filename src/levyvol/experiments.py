@@ -122,6 +122,8 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 < self.level < 1:
             raise ConfigurationError("level must be in (0, 1)")
         self.model.validate()

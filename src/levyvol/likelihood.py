@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DegenerateDataError
-from .transform import apply_transform
+from .transform import apply_transform, one_minus_cos
 
 DEFAULT_THETA_MIN = 1e-6
 
@@ -88,8 +88,7 @@ def make_context(
     if sigma_eps2 == 0.0:
         offsets, R2, mult = np.zeros(1), np.array([sum_sq]), n
     else:
-        j = np.arange(1, n + 1)
-        offsets = 2.0 * sigma_eps2 * (1.0 - np.cos(j * np.pi / (n + 1)))
+        offsets = 2.0 * sigma_eps2 * one_minus_cos(n)
         R2, mult = apply_transform(dY, delta).R ** 2, 1
     return LikelihoodContext(
         dY=dY,

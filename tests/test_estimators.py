@@ -1,9 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dst
 from scipy.integrate import quad
 
 from levyvol import (
@@ -25,6 +27,8 @@ from levyvol import (
     v_noise,
 )
 from levyvol.estimators import GBAR, PHI11, PHI12, PHI22, preavg_windows, window_weights
+from levyvol.experiments import default_config
+from levyvol.likelihood import DEFAULT_THETA_MIN, LikelihoodContext
 
 CFG = PreavgConfig()
 
@@ -416,3 +420,43 @@ def test_report_serializes_flat():
         assert key in d
     assert d["rate_exponent"] == -0.5
     assert not any(isinstance(v, dict) for v in d.values())
+
+
+# ---------------------------------------------------------------------------
+# the chirp-path transform at the estimator layer
+# ---------------------------------------------------------------------------
+
+
+def _scipy_noise_context(dY, delta):
+    """The noisy context as make_context built it on scipy's DST alone, before
+    apply_transform had a chirp path: the oracle for the test below."""
+    n = dY.size
+    sum_sq = float(np.sum(dY**2))
+    sigma_eps2 = sum_sq / (2 * n)
+    j = np.arange(1, n + 1)
+    return LikelihoodContext(
+        dY=dY,
+        n=n,
+        delta=delta,
+        sigma_eps2=sigma_eps2,
+        theta_min=DEFAULT_THETA_MIN,
+        theta_max=max(1e3 * (sum_sq / (n * delta)), 1e4 * DEFAULT_THETA_MIN),
+        offsets=2.0 * sigma_eps2 * (1.0 - np.cos(j * np.pi / (n + 1))),
+        R2=dst(dY, type=1, norm="ortho") ** 2,
+        mult=1,
+    )
+
+
+def test_noisy_day_estimate_matches_the_scipy_dst_context():
+    # one noisy day of 1-second returns: n + 1 = 7 * 3343 takes the chirp path
+    cfg = default_config("coverage-noise")
+    model = replace(cfg.model, n=23400)
+    dY = simulate_path(model, 7, 0).dY
+    new = estimate_noise(dY, model.delta, cfg.preavg, cfg.kappa_mode)
+    old = estimate_noise(
+        dY, model.delta, cfg.preavg, cfg.kappa_mode, ctx=_scipy_noise_context(dY, model.delta)
+    )
+    assert new.theta_tilde == pytest.approx(old.theta_tilde, rel=1e-12, abs=0)
+    assert new.theta_hat == old.theta_hat
+    assert new.sigma_eps2_hat == old.sigma_eps2_hat
+    assert new.flags == old.flags

@@ -264,6 +264,7 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         {"experiment": "rate-check", "n_grid": []},
         {"experiment": "rate-check", "n_grid": [1000]},
         {"experiment": "rate-check", "n_grid": [1000, 0]},
+        {"experiment": "single-path", "master_seed": -1},
     ],
     ids=[
         "prior-family",
@@ -282,6 +283,7 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         "rate-check-no-sizes",
         "rate-check-one-size",
         "rate-check-size-zero",
+        "negative-seed",
     ],
 )
 def test_config_errors_are_refused_before_any_replication(d):
@@ -550,6 +552,23 @@ def test_cli_estimate_and_posterior(tmp_path, capsys):
     post = json.loads(capsys.readouterr().out)
     assert {iv["kind"] for iv in post["intervals"]} == {"HPD", "EqualTail", "WaldNormal"}
     assert "estimators" in post
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--seed", "-1"],
+        ["estimate", "--rep", "-1"],
+        ["posterior", "--seed", "-1"],
+        ["posterior", "--rep", "-1"],
+        ["simulate", "--seed", "-1"],
+        ["experiment", "--seed", "-1", "--reps", "2"],
+    ],
+    ids=" ".join,
+)
+def test_cli_negative_seed_or_replication_returns_2(args, capsys):
+    assert main(args + ["--experiment", "single-path", "--n", "200"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_simulate_dump(tmp_path, capsys):

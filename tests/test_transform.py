@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyvol import apply_transform, eigen_variance, transform_entry, transform_matrix
+import levyvol.transform
+from levyvol import apply_transform, eigen_variance, make_context, transform_entry, transform_matrix
+from levyvol.transform import CHIRP_MIN_PRIME
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % p for p in range(2, int(m**0.5) + 1))
+
+
+# n in 1..6000 with n + 1 a prime above CHIRP_MIN_PRIME: the chirp path
+CHIRP_SIZES = [n for n in range(CHIRP_MIN_PRIME, 6001) if _is_prime(n + 1)]
 
 
 def test_entry_n1_is_one():
@@ -80,7 +91,8 @@ def test_norm_preservation_large_n():
     assert np.linalg.norm(R) == pytest.approx(np.linalg.norm(x), rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 4096])
+# 1666 and 3342 (n + 1 prime) take the chirp path, the others scipy's DST
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 4096, 1666, 3342])
 def test_fast_and_direct_agree(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
@@ -89,17 +101,65 @@ def test_fast_and_direct_agree(n):
     np.testing.assert_allclose(fast, direct, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [15600, 23400])
+def test_chirp_path_matches_scipy_dst(n):
+    # n + 1 = 15601 is prime, 23401 = 7 * 3343
+    x = np.random.default_rng(n).standard_normal(n)
+    R = apply_transform(x, 1.0 / n).R
+    want = scipy.fft.dst(x, type=1, norm="ortho")
+    # 2.6e-17 measured; phases taken as k^2 without the reduction mod
+    # 4(n + 1) lose 8.7e-14 at n = 23400
+    assert np.max(np.abs(R - want)) <= 1e-15 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [2000, 7800, 23399])
+def test_scipy_path_is_scipy_dst_bit_for_bit(n):
+    # largest prime factors of n + 1: 29, 269 and 13, all below CHIRP_MIN_PRIME
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(apply_transform(x, 1.0 / n).R, scipy.fft.dst(x, type=1, norm="ortho"))
+
+
+def test_chirp_path_makes_no_scipy_dst_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.fft.dst called on the chirp path")
+
+    monkeypatch.setattr(levyvol.transform, "dst", refuse)
+    x = np.random.default_rng(3).standard_normal(23400)
+    assert np.isfinite(apply_transform(x, 1.0 / 23400).R).all()
+
+
 def test_empty_input_raises():
     with pytest.raises(ValueError):
         apply_transform(np.array([]), delta=0.1)
 
 
+def test_input_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-D"):
+        apply_transform(np.ones((2, 3)), delta=0.1)
+    with pytest.raises(ValueError, match="1-D"):
+        apply_transform(np.float64(1.0), delta=0.1)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=160), st.integers(min_value=0, max_value=2**31 - 1))
-def test_transform_is_isometry(n, seed):
-    x = np.random.default_rng(seed).standard_normal(n)
-    out = apply_transform(x, delta=1.0 / n)
-    assert np.linalg.norm(out.R) == pytest.approx(np.linalg.norm(x), rel=1e-10, abs=1e-12)
+@given(
+    st.integers(min_value=1, max_value=6000),
+    st.sampled_from(CHIRP_SIZES),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_transform_is_isometry(n, n_chirp, seed):
+    rng = np.random.default_rng(seed)
+    for size in (n, n_chirp):
+        x = rng.standard_normal(size)
+        out = apply_transform(x, delta=1.0 / size)
+        assert np.linalg.norm(out.R) == pytest.approx(np.linalg.norm(x), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2000, 15600, 23400])
+def test_context_offsets_are_the_cosine_expression(n):
+    dY = np.random.default_rng(n).standard_normal(n)
+    ctx = make_context(dY, 1.0 / n, sigma_eps2=0.37)
+    j = np.arange(1, n + 1)
+    assert np.array_equal(ctx.offsets, 2.0 * 0.37 * (1.0 - np.cos(j * np.pi / (n + 1))))
 
 
 def test_eigen_variance_no_noise_flat():
