@@ -9,8 +9,8 @@ bias-study         bias of the four point estimators (threshold estimate,
                    corrected posterior mean, and their latent-truth variants)
 coverage-nonoise   coverage of HPD / equal-tail / Wald intervals, conjugate
                    no-noise pipeline
-coverage-noise     coverage with microstructure noise: split-sample prior,
-                   MCMC posterior, pre-averaging corrections
+coverage-noise     coverage with microstructure noise: data-centered prior
+                   on a split sample, MCMC posterior, pre-averaging corrections
 rate-check         log-log convergence-rate slopes of the quasi-MLE
 compare-full-bayes overlap of the corrected quasi-posterior HPD with the
                    exact full-joint Gibbs marginal
@@ -36,6 +36,7 @@ from .estimators import (
     estimate_noise,
     noise_variance_hat,
     preavg_threshold_estimator,
+    v_noise,
     warn_outside_clt_window,
 )
 from .likelihood import make_context, mle
@@ -95,7 +96,6 @@ class ExperimentConfig:
     prior: Prior = field(default_factory=InverseGammaPrior)
     chain: ChainConfig = field(default_factory=ChainConfig)
     joint_priors: JointPriors = field(default_factory=JointPriors)
-    split_prior: bool = False
     replications: int = 10
     master_seed: int = 20260809
     level: float = 0.95
@@ -328,7 +328,6 @@ def default_config(experiment: str) -> ExperimentConfig:
             experiment=experiment,
             model=STABLE_MODEL,
             prior=TruncatedNormalPrior(sd=0.06, lower=0.0),
-            split_prior=True,
             replications=200,
         )
     if experiment == "rate-check":
@@ -370,48 +369,51 @@ def fit_no_noise(dY: np.ndarray, delta: float, cfg: ExperimentConfig) -> FitResu
         cfg.prior, dY, delta, max(report.kappa_n, KAPPA_FLOOR)
     )
     adjusted = adjust(posterior, report.theta_tilde - report.theta_hat)
-    reference = normal_reference(report.theta_hat, report.v_hat, -0.5, dY.size)
+    reference = normal_reference(report.theta_hat, report.v_hat, report.rate_exponent, dY.size)
     return FitResult(report, posterior, adjusted, reference)
 
 
 def fit_noise(
     dY: np.ndarray, delta: float, cfg: ExperimentConfig, rep: int
 ) -> FitResult:
-    """MCMC pipeline: when split_prior is set the first half of the sample
-    centers the prior and the second half carries the likelihood; the Wald
-    reference always uses the full-sample pre-averaging estimate.
+    """MCMC pipeline. A data-centered prior (truncated normal without a
+    center) splits the sample: the pre-averaging estimate of the first half
+    centers the prior and the second half carries the likelihood. A fixed
+    prior leaves the whole sample to the likelihood. The report is the
+    estimate of the sample the posterior is fitted on, so its kappa_n and
+    shift are the ones applied; the Wald reference always takes the
+    full-sample pre-averaging estimate and noise plug-in.
 
-    A data-centered (truncated-normal) prior informs the recentered
-    volatility, so on the pre-shift scale its center and truncation point are
-    translated by the shift estimate; the location adjustment then maps the
-    prior back onto the parameter it was elicited for. Without this, the
-    prior would fight the finite-sample location bias of the quasi-MLE and
-    drag the corrected posterior off its recentered position.
+    A data-centered prior informs the recentered volatility, so on the
+    pre-shift scale its center and truncation point are translated by the
+    shift estimate; the location adjustment then maps the prior back onto
+    the parameter it was elicited for. Without this, the prior would fight
+    the finite-sample location bias of the quasi-MLE and drag the corrected
+    posterior off its recentered position.
     """
-    if cfg.split_prior:
-        full = estimate_noise(dY, delta, cfg.preavg, cfg.kappa_mode)
-        n1 = (dY.size + 1) // 2  # boundary increment goes to the first half
-        dY1, dY2 = dY[:n1], dY[n1:]
+    n = dY.size
+    prior = cfg.prior
+    centered = isinstance(prior, TruncatedNormalPrior) and prior.center is None
+    n1 = (n + 1) // 2 if centered else 0  # boundary increment goes to the first half
+    ctx = make_context(dY[n1:], delta)
+    report = estimate_noise(ctx.dY, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
+    shift = report.theta_tilde - report.theta_hat
+    wald_center, wald_v = report.theta_hat, report.v_hat
+    if centered:
+        dY1 = dY[:n1]
         pre1 = preavg_threshold_estimator(
             dY1, cfg.preavg, noise_variance_hat(dY1), delta, n1 * delta
         )
-        center_raw = pre1.value
-        ctx = make_context(dY2, delta)
-        infer = estimate_noise(dY2, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
-    else:
-        ctx = make_context(dY, delta)
-        full = infer = estimate_noise(dY, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
-        center_raw = full.theta_hat
-    reference = normal_reference(full.theta_hat, full.v_hat, -0.25, dY.size)
-    shift = infer.theta_tilde - infer.theta_hat
-    prior = cfg.prior
-    if isinstance(prior, TruncatedNormalPrior) and prior.center is None:
-        prior = replace(prior, center=center_raw + shift, lower=max(prior.lower + shift, 0.0))
+        prior = replace(prior, center=pre1.value + shift, lower=max(prior.lower + shift, 0.0))
+        sigma_eps2 = noise_variance_hat(dY)
+        full = preavg_threshold_estimator(dY, cfg.preavg, sigma_eps2, delta, n * delta)
+        wald_center, wald_v = full.value, v_noise(full.value_clipped, sigma_eps2, cfg.preavg)
+    reference = normal_reference(wald_center, wald_v, report.rate_exponent, n)
     posterior = tempered_posterior_mcmc(
-        prior, ctx, max(infer.kappa_n, KAPPA_FLOOR), cfg.chain, cfg.master_seed, rep
+        prior, ctx, max(report.kappa_n, KAPPA_FLOOR), cfg.chain, cfg.master_seed, rep
     )
     adjusted = adjust(posterior, shift)
-    return FitResult(full, posterior, adjusted, reference)
+    return FitResult(report, posterior, adjusted, reference)
 
 
 def fit_path(dY: np.ndarray, delta: float, cfg: ExperimentConfig, rep: int) -> FitResult:
@@ -439,7 +441,7 @@ def _rep_single_path(cfg: ExperimentConfig, rep: int) -> dict:
     row = {
         "rep": rep,
         "theta_tilde": fit.report.theta_tilde,
-        "theta_hat": fit.report.theta_hat,
+        "theta_hat": fit.reference.center,
         "sigma_eps2_hat": fit.report.sigma_eps2_hat,
         "jump_qv_hat": fit.report.jump_qv_hat,
         "jump_qv_true": path.jump_qv,
@@ -488,7 +490,7 @@ def _rep_coverage(cfg: ExperimentConfig, rep: int) -> dict:
     pts = point_estimates(fit.adjusted)
     row = {
         "rep": rep,
-        "theta_hat": fit.report.theta_hat,
+        "theta_hat": fit.reference.center,
         "mean_adjusted": pts.mean,
         "map_adjusted": pts.map,
         "kappa_n": fit.report.kappa_n,
@@ -586,33 +588,19 @@ def _safe_worker(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    kind: str
-    coverage: float
-    mean_width: float
-    replications: int
-
-    @property
-    def mc_se(self) -> float:
-        p = self.coverage
-        return float(np.sqrt(p * (1 - p) / self.replications))
-
-    def to_dict(self) -> dict:
-        return {**_to_data(self), "mc_se": self.mc_se}
-
-
 def _coverage_summary(rows: list[dict], level: float) -> dict:
     out = {}
     for tag, kind in (("hpd", "HPD"), ("equal_tail", "EqualTail"), ("wald", "WaldNormal")):
         covers = np.array([r[f"{tag}_covers"] for r in rows], dtype=float)
         widths = np.array([r[f"{tag}_upper"] - r[f"{tag}_lower"] for r in rows])
-        out[tag] = CoverageResult(
-            kind=kind,
-            coverage=float(covers.mean()),
-            mean_width=float(widths.mean()),
-            replications=len(rows),
-        ).to_dict()
+        p = float(covers.mean())
+        out[tag] = {
+            "kind": kind,
+            "coverage": p,
+            "mean_width": float(widths.mean()),
+            "replications": len(rows),
+            "mc_se": float(np.sqrt(p * (1 - p) / len(rows))),
+        }
     out["level"] = level
     return out
 
@@ -679,10 +667,6 @@ class RunResult:
     rows: list
     summary: dict
     out_dir: Optional[str]
-
-    @property
-    def failure_rate(self) -> float:
-        return self.summary["failures"] / max(self.summary["replications_requested"], 1)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
@@ -811,7 +795,7 @@ def emit_plot_data(cfg: ExperimentConfig, out_dir: str, reps: Optional[int] = No
         meta[str(rep)] = {
             "tv_to_reference": tv_distance(fit.adjusted, ref).value,
             "kappa_n": fit.report.kappa_n,
-            "shift": fit.report.theta_tilde - fit.report.theta_hat,
+            "shift": fit.adjusted.shift,
         }
 
     _write_rows(dens_rows, os.path.join(out_dir, "densities.csv"))

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levyvol.estimators
 import levyvol.experiments
 import levyvol.likelihood
+import levyvol.posterior
 from levyvol import (
     CLTWindowWarning,
     ChainConfig,
@@ -58,7 +60,6 @@ def test_noise_design_chain_defaults():
     assert cfg.chain.burn_in == 5_000
     assert cfg.model.n == 15_600
     assert cfg.prior == TruncatedNormalPrior(center=None, sd=0.06, lower=0.0)
-    assert cfg.split_prior
 
 
 def test_config_round_trip():
@@ -207,7 +208,7 @@ def test_config_refuses_malformed_input(d, message):
             {"prior": {"family": "truncated-normal", "center": False}},
             "config.prior.center must be a number",
         ),
-        ({"split_prior": 1}, "config.split_prior must be true or false"),
+        ({"dump_paths": 1}, "config.dump_paths must be true or false"),
         ({"prior": {"family": 3}}, "config.prior.family must be a string"),
         ({"model": {"jump": {"kind": "compound-poisson", "rate": "5"}}}, "config.model.jump.rate"),
         ({"n_grid": [1000, "4000"]}, "config.n_grid[1] must be an integer"),
@@ -420,20 +421,90 @@ def _count_calls(monkeypatch, fn, counts):
 
 
 def test_coverage_noise_replication_fits_each_half_once(monkeypatch):
-    # split prior: the full sample carries the Wald reference, the second
-    # half the likelihood; each gets one context and one quasi-MLE solve
+    # data-centered prior: the first half centers it by pre-averaging alone,
+    # the second half carries the likelihood; the full sample feeds only the
+    # Wald reference, so a replication builds one context and solves once
     cfg = replace(_tiny("coverage-noise", n=3000), replications=1)
     dY = simulate_path(cfg.model, cfg.master_seed, 0, cfg.m_aux).dY
     counts = {"make_context": 0, "score": 0}
     _count_calls(monkeypatch, levyvol.likelihood.score, counts)
-    for data in (dY, dY[(dY.size + 1) // 2 :]):
-        levyvol.likelihood.mle(levyvol.likelihood.make_context(data, cfg.model.delta))
-    two_solves = counts["score"]
+    second_half = dY[(dY.size + 1) // 2 :]
+    levyvol.likelihood.mle(levyvol.likelihood.make_context(second_half, cfg.model.delta))
+    one_solve = counts["score"]
     _count_calls(monkeypatch, levyvol.likelihood.make_context, counts)
     counts.update(make_context=0, score=0)
     assert run(cfg).summary["failures"] == 0
-    assert counts["make_context"] == 2
-    assert counts["score"] == two_solves
+    assert counts["make_context"] == 1
+    assert counts["score"] == one_solve
+
+
+def _record_results(monkeypatch, fn):
+    """Record what every call of ``fn`` from the experiment harness returns."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(levyvol.experiments, fn.__name__, recorded)
+    return results
+
+
+def test_coverage_noise_rows_report_the_kappa_and_shift_the_chain_applied(monkeypatch, tmp_path):
+    cfg = _tiny("coverage-noise", n=3000)
+    chains = _record_results(monkeypatch, levyvol.posterior.tempered_posterior_mcmc)
+    res = run(cfg)
+    assert res.summary["failures"] == 0
+    assert [r["kappa_n"] for r in res.rows] == [c.kappa for c in chains]
+
+    emit_plot_data(cfg, str(tmp_path), reps=2)
+    meta = json.loads((tmp_path / "plot_meta.json").read_text())["per_rep"]
+    for rep in range(2):
+        path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
+        fit = levyvol.experiments.fit_path(path.dY, cfg.model.delta, cfg, rep)
+        assert meta[str(rep)]["shift"] == fit.adjusted.shift
+        assert meta[str(rep)]["kappa_n"] == fit.posterior.kappa
+
+
+@pytest.mark.parametrize("experiment", ["coverage-noise", "single-path"])
+@pytest.mark.parametrize(
+    "prior", [ExponentialPrior(rate=1.0), TruncatedNormalPrior(center=0.3, sd=0.1)], ids=repr
+)
+def test_a_fixed_prior_fits_the_noisy_posterior_on_the_whole_sample(
+    monkeypatch, experiment, prior
+):
+    cfg = _tiny(experiment, n=1000)
+    cfg = replace(cfg, model=replace(cfg.model, sigma_eps=0.01), prior=prior)
+    contexts = _record_results(monkeypatch, levyvol.likelihood.make_context)
+    dY = simulate_path(cfg.model, cfg.master_seed, 0, cfg.m_aux).dY
+    fit = levyvol.experiments.fit_path(dY, cfg.model.delta, cfg, 0)
+    assert [ctx.n for ctx in contexts] == [1000]
+    report = levyvol.estimators.estimate_noise(dY, cfg.model.delta, cfg.preavg, cfg.kappa_mode)
+    assert fit.report == report
+    assert fit.reference.center == report.theta_hat
+
+
+def test_a_data_centered_prior_fits_the_second_half_and_keeps_the_full_sample_wald(monkeypatch):
+    cfg = _tiny("coverage-noise", n=3001)
+    contexts = _record_results(monkeypatch, levyvol.likelihood.make_context)
+    dY = simulate_path(cfg.model, cfg.master_seed, 0, cfg.m_aux).dY
+    fit = levyvol.experiments.fit_path(dY, cfg.model.delta, cfg, 0)
+    second_half = dY[1501:]  # the boundary increment goes to the first half
+    assert len(contexts) == 1
+    np.testing.assert_array_equal(contexts[0].dY, second_half)
+    second = levyvol.estimators.estimate_noise(second_half, cfg.model.delta, cfg.preavg)
+    full = levyvol.estimators.estimate_noise(dY, cfg.model.delta, cfg.preavg)
+    assert fit.report == second
+    assert fit.posterior.kappa == second.kappa_n
+    assert fit.adjusted.shift == second.theta_tilde - second.theta_hat
+    assert fit.reference == levyvol.posterior.normal_reference(
+        full.theta_hat, full.v_hat, -0.25, dY.size
+    )
+
+
+def test_split_prior_is_an_unknown_field():
+    with pytest.raises(ConfigurationError, match=re.escape("unknown field(s) ['split_prior']")):
+        config_from_dict({"experiment": "coverage-noise", "split_prior": True})
 
 
 def test_rate_check_rows_and_slopes():
