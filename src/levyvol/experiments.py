@@ -122,6 +122,10 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        if self.m_aux < 1:
+            raise ConfigurationError(f"m_aux must be >= 1, got {self.m_aux}")
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 < self.level < 1:
@@ -738,16 +742,19 @@ def _write_rows(rows: list[dict], filename: str) -> None:
 
 
 def emit_plot_data(cfg: ExperimentConfig, out_dir: str, reps: Optional[int] = None) -> dict:
-    """Re-run the per-replication pipeline for the first few replications and
-    write grid-evaluated densities plus interval endpoints; no plotting.
+    """Re-run the per-replication pipeline for the first ``reps`` replications
+    (all when None; ``reps < 1`` is refused) and write grid-evaluated
+    densities plus interval endpoints; no plotting.
 
     densities.csv: (rep, theta, pdf_posterior, pdf_adjusted, pdf_reference)
     intervals.csv: (rep, kind, lower, upper, covers_truth)
     plot_meta.json: per-rep TV distance to the reference and shift/kappa.
     """
     cfg.validate()
+    if reps is not None and reps < 1:
+        raise ConfigurationError(f"plot reps must be >= 1, got {reps}")
     os.makedirs(out_dir, exist_ok=True)
-    n_reps = min(reps or cfg.replications, cfg.replications)
+    n_reps = cfg.replications if reps is None else min(reps, cfg.replications)
     truth = cfg.model.theta
 
     dens_rows = []

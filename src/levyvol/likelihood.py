@@ -50,11 +50,6 @@ class LikelihoodContext:
         return self.n * self.delta
 
     @cached_property
-    def R(self) -> np.ndarray:
-        """Transformed increments, on first use: the no-noise kernel never reads them."""
-        return apply_transform(self.dY, self.delta).R
-
-    @cached_property
     def fit(self) -> MLEResult:
         """The quasi-MLE, solved on first use and kept for the context's life."""
         return _solve_mle(self)
@@ -89,7 +84,7 @@ def make_context(
         offsets, R2, mult = np.zeros(1), np.array([sum_sq]), n
     else:
         offsets = 2.0 * sigma_eps2 * one_minus_cos(n)
-        R2, mult = apply_transform(dY, delta).R ** 2, 1
+        R2, mult = apply_transform(dY) ** 2, 1
     return LikelihoodContext(
         dY=dY,
         n=n,

@@ -578,7 +578,7 @@ def equal_tail_interval(posterior: Posterior, level: float = 0.95) -> IntervalRe
     if isinstance(posterior, EmpiricalPosterior):
         lo, hi = np.quantile(posterior.samples, [a, 1 - a])
     else:
-        lo, hi = posterior.ppf(a), posterior.ppf(1 - a)
+        lo, hi = posterior.ppf([a, 1 - a])
     return IntervalReport(float(lo), float(hi), level, "EqualTail")
 
 
@@ -594,18 +594,18 @@ class TVResult:
     detail: dict = field(default_factory=dict)
 
 
-def _law_range(p) -> tuple[float, float]:
-    return float(p.ppf(1e-12)), float(p.ppf(1 - 1e-12))
-
-
 def tv_distance(p, q) -> TVResult:
     """Total variation distance (1/2) int |f - g|.
 
-    Analytic vs analytic: the densities' sign-change points are located on a
-    4001-point scan and polished by root search, and the distance is
-    assembled exactly from CDF differences between crossings. An empirical
-    posterior is compared through an adaptive histogram with ceil(2 m^(1/3))
-    bins; the binning is reported in ``detail``.
+    Analytic vs analytic: the scan grid is the union of 2001 nodes over each
+    law's own range [ppf(1e-12), ppf(1 - 1e-12)], so a law narrower than the
+    other's node spacing is still resolved. Each sign change of f - g on the
+    grid is placed by linear interpolation between its two nodes, an O(h^2)
+    error in the crossing that moves the distance only to second order, and
+    the distance is assembled from CDF differences between crossings plus
+    the two tails. Each law's `pdf`, `cdf` and `ppf` is called once. An
+    empirical posterior is compared through an adaptive histogram with
+    ceil(2 m^(1/3)) bins; the binning is reported in ``detail``.
     """
     if isinstance(p, EmpiricalPosterior) and isinstance(q, EmpiricalPosterior):
         raise ConfigurationError("at least one law must be analytic")
@@ -622,28 +622,20 @@ def tv_distance(p, q) -> TVResult:
         value = 0.5 * (np.sum(np.abs(counts / m - mass_q)) + outside)
         return TVResult(float(value), "histogram", {"bins": bins, "m": m})
 
-    lo = min(_law_range(p)[0], _law_range(q)[0])
-    hi = max(_law_range(p)[1], _law_range(q)[1])
-    grid = np.linspace(lo, hi, 4001)
+    tails = (1e-12, 1 - 1e-12)
+    (p_lo, p_hi), (q_lo, q_hi) = p.ppf(tails), q.ppf(tails)
+    grid = np.union1d(np.linspace(p_lo, p_hi, 2001), np.linspace(q_lo, q_hi, 2001))
     diff = p.pdf(grid) - q.pdf(grid)
-    sgn = np.sign(diff)
-    hits = np.nonzero(np.diff(sgn) != 0)[0]
-    cut = [lo]
-    for i in hits:
-        a, b = grid[i], grid[i + 1]
-        if diff[i] == 0.0:
-            cut.append(a)
-            continue
-        try:
-            cut.append(brentq(lambda x: float(p.pdf(x) - q.pdf(x)), a, b, xtol=1e-14))
-        except ValueError:
-            cut.append(0.5 * (a + b))
-    cut.append(hi)
-    total = abs(float(p.cdf(lo) - q.cdf(lo)))
-    for a, b in zip(cut[:-1], cut[1:]):
-        total += abs(float((p.cdf(b) - p.cdf(a)) - (q.cdf(b) - q.cdf(a))))
-    total += abs(float((1 - p.cdf(hi)) - (1 - q.cdf(hi))))
-    return TVResult(0.5 * total, "cdf", {"crossings": len(hits)})
+    hits = np.nonzero(np.diff(np.sign(diff)) != 0)[0]
+    # opposite signs (or one zero) at the two nodes, so da - db != 0
+    da, db = diff[hits], diff[hits + 1]
+    cross = grid[hits] + (grid[hits + 1] - grid[hits]) * (da / (da - db))
+    cut = np.concatenate(([grid[0]], cross, [grid[-1]]))
+    fp, fq = p.cdf(cut), q.cdf(cut)
+    gaps = np.concatenate(
+        ([fp[0] - fq[0]], np.diff(fp) - np.diff(fq), [(1 - fp[-1]) - (1 - fq[-1])])
+    )
+    return TVResult(0.5 * float(np.sum(np.abs(gaps))), "cdf", {"crossings": int(hits.size)})
 
 
 @dataclass(frozen=True)

@@ -35,17 +35,6 @@ from scipy.fft import dst, fft, ifft, next_fast_len
 CHIRP_MIN_PRIME = 400
 
 
-@dataclass(frozen=True)
-class TransformedData:
-    """Decorrelated coordinates R with grid metadata. ``sigma_eps2`` is the
-    noise-variance plug-in attached downstream (0 when absent)."""
-
-    R: np.ndarray
-    n: int
-    delta: float
-    sigma_eps2: float = 0.0
-
-
 def transform_entry(n: int, i: int, j: int) -> float:
     """Entry (i, j), 1-based, of the n x n orthogonal sine matrix
     sqrt(2/(n+1)) * sin(i*j*pi/(n+1))."""
@@ -109,8 +98,8 @@ def one_minus_cos(n: int) -> np.ndarray:
     return _plan(n).one_minus_cos
 
 
-def apply_transform(dY: np.ndarray, delta: float) -> TransformedData:
-    """Map increments to decorrelated coordinates R by the orthonormal
+def apply_transform(dY: np.ndarray) -> np.ndarray:
+    """Map increments to the decorrelated coordinates R by the orthonormal
     type-I discrete sine transform, which is the product with
     `transform_matrix` (identical up to rounding) in O(n log n).
 
@@ -128,12 +117,10 @@ def apply_transform(dY: np.ndarray, delta: float) -> TransformedData:
         raise ValueError("empty input")
     plan = _plan(n)
     if plan.kernel is None:
-        R = dst(dY, type=1, norm="ortho")
-    else:
-        size = plan.kernel.size
-        conv = ifft(fft(dY * plan.chirp, size) * plan.kernel, overwrite_x=True)[:n]
-        R = (plan.chirp * conv).imag.copy()
-    return TransformedData(R=R, n=n, delta=delta)
+        return dst(dY, type=1, norm="ortho")
+    size = plan.kernel.size
+    conv = ifft(fft(dY * plan.chirp, size) * plan.kernel, overwrite_x=True)[:n]
+    return (plan.chirp * conv).imag.copy()
 
 
 def eigen_variance(theta: float, sigma2: float, n: int, delta: float, j) -> np.ndarray | float:

@@ -266,6 +266,8 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         {"experiment": "rate-check", "n_grid": [1000]},
         {"experiment": "rate-check", "n_grid": [1000, 0]},
         {"experiment": "single-path", "master_seed": -1},
+        {"experiment": "single-path", "m_aux": 0},
+        {"experiment": "single-path", "jobs": 0},
     ],
     ids=[
         "prior-family",
@@ -285,6 +287,8 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         "rate-check-one-size",
         "rate-check-size-zero",
         "negative-seed",
+        "m-aux-zero",
+        "jobs-zero",
     ],
 )
 def test_config_errors_are_refused_before_any_replication(d):
@@ -679,6 +683,14 @@ def test_cli_plotdata(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert (tmp_path / "densities.csv").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_cli_plotdata_refuses_fewer_than_one_rep(tmp_path, reps, capsys):
+    args = ["plotdata", "--experiment", "single-path", "--n", "200", "--reps", "3"]
+    assert main(args + ["--out", str(tmp_path), f"--plot-reps={reps}"]) == 2
+    assert "plot reps must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "densities.csv").exists()
 
 
 def test_cli_bad_config_returns_2(capsys):

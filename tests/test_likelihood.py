@@ -10,6 +10,7 @@ from levyvol import (
     DegenerateDataError,
     ModelSpec,
     NoJumps,
+    apply_transform,
     fisher_info,
     loglik,
     make_context,
@@ -41,11 +42,12 @@ def test_kernel_matches_naive_summation(sigma_eps2):
 
     path = _noise_path(0.4, 0.02, 1000, seed=2)
     ctx = make_context(path.dY, 1e-3, sigma_eps2=sigma_eps2)
+    R = apply_transform(ctx.dY)
     th, d = 0.35, ctx.delta
     ll = sc = hess = 0.0
     for j in range(1, ctx.n + 1):
         lam = th * d + 2 * ctx.sigma_eps2 * (1 - math.cos(j * math.pi / (ctx.n + 1)))
-        r2 = float(ctx.R[j - 1]) ** 2
+        r2 = float(R[j - 1]) ** 2
         ll += -0.5 * (math.log(lam) + r2 / lam)
         sc += -0.5 / ctx.n * (1 / lam - r2 / lam**2)
         hess += 0.5 * d**2 / lam**2 - r2 * d**2 / lam**3
@@ -96,7 +98,7 @@ def test_loglik_against_transformed_form_when_no_noise():
     ctx = make_context(path.dY, 1.0 / 300, sigma_eps2=0.0)
     th = 0.5
     lam = th * ctx.delta
-    via_R = -0.5 * (ctx.n * np.log(lam) + np.sum(ctx.R**2) / lam)
+    via_R = -0.5 * (ctx.n * np.log(lam) + np.sum(apply_transform(ctx.dY) ** 2) / lam)
     assert loglik(th, ctx) == pytest.approx(via_R, rel=1e-10)
 
 

@@ -530,12 +530,99 @@ def test_tv_disjoint_supports_one():
     assert tv_distance(a, b).value == pytest.approx(1.0, abs=1e-9)
 
 
-def _tv_quad(p, q):
-    # oracle: (1/2) int |f - g| by adaptive quadrature over both laws' ranges
+def _tv_quad(p, q, points=None):
+    # oracle: (1/2) int |f - g| by adaptive quadrature over both laws' ranges,
+    # split at ``points`` where the integrand has kinks closer than quad sees
     lo = min(p.ppf(1e-12), q.ppf(1e-12))
     hi = max(p.ppf(1 - 1e-12), q.ppf(1 - 1e-12))
-    val, _ = quad(lambda x: abs(float(p.pdf(x) - q.pdf(x))), lo, hi, limit=400, epsabs=1e-10)
+    val, _ = quad(
+        lambda x: abs(float(p.pdf(x) - q.pdf(x))), lo, hi, limit=400, epsabs=1e-10, points=points
+    )
     return 0.5 * val
+
+
+def _tv_two_normals(m1, s1, m2, s2):
+    """Closed-form TV of N(m1, s1^2) and N(m2, s2^2): the densities cross at
+    the roots of the quadratic log f1 - log f2 = a x^2 + b x + c, and the
+    distance is half the summed mass differences between the crossings."""
+    a = 0.5 / s2**2 - 0.5 / s1**2
+    b = m1 / s1**2 - m2 / s2**2
+    c = 0.5 * (m2 / s2) ** 2 - 0.5 * (m1 / s1) ** 2 + math.log(s2 / s1)
+    if a == 0.0:
+        roots = [-c / b]
+    else:
+        h = -0.5 * (b + math.copysign(math.sqrt(b * b - 4 * a * c), b))
+        roots = sorted([h / a, c / h])
+    cut = np.array([-np.inf, *roots, np.inf])
+    mass1 = np.diff(norm.cdf(cut, m1, s1))
+    mass2 = np.diff(norm.cdf(cut, m2, s2))
+    return 0.5 * float(np.sum(np.abs(mass1 - mass2)))
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.1, 0.01, 1e-4])
+@pytest.mark.parametrize("offset", [0.0012, 0.3, 2.5])
+def test_tv_two_normals_closed_form(ratio, offset):
+    # the 1e-4 pairs are narrower than a 4001-node grid over N(0, 1)'s range
+    a = normal_reference(0.0, 1.0, -0.5, 1)
+    b = normal_reference(offset, ratio**2, -0.5, 1)
+    want = _tv_two_normals(0.0, 1.0, offset, ratio)
+    assert tv_distance(a, b).value == pytest.approx(want, abs=1e-9)
+    assert tv_distance(b, a).value == pytest.approx(want, abs=1e-9)
+
+
+def test_tv_two_close_crossings_against_quadrature():
+    # a normal whose log-density touches the inverse gamma's from above by
+    # eps at x0: the densities cross twice within x0 +- 0.005, with p's s.d.
+    # about 0.1, and once more in the far left tail
+    shape, scale, eps = 12.0, 3.3, 1e-4
+    p = AnalyticPosterior(shape=shape, scale=scale)
+    x0 = float(p.ppf(0.7))
+    slope = -(shape + 1) / x0 + scale / x0**2  # d/dx log p at x0
+    logp = float(p.logpdf(x0))
+
+    def lift(s):
+        # log q(x0) - log p(x0) for the normal of s.d. s with that slope at x0
+        return -0.5 * (s * slope) ** 2 - math.log(s * math.sqrt(2 * math.pi)) - logp - eps
+
+    sd = brentq(lift, 1e-8, 10.0)
+    q = normal_reference(x0 + sd**2 * slope, sd**2, -0.5, 1)
+    assert p.pdf(x0) < q.pdf(x0)
+    assert p.pdf(x0 - 0.005) > q.pdf(x0 - 0.005) and p.pdf(x0 + 0.005) > q.pdf(x0 + 0.005)
+    got = tv_distance(p, q)
+    assert got.detail["crossings"] == 3
+    assert got.value == pytest.approx(_tv_quad(p, q, points=[x0]), abs=1e-9)
+
+
+class _CountedLaw:
+    """Delegates pdf, cdf and ppf to a law and counts the calls."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = {"pdf": 0, "cdf": 0, "ppf": 0}
+
+    def pdf(self, x):
+        self.calls["pdf"] += 1
+        return self.law.pdf(x)
+
+    def cdf(self, x):
+        self.calls["cdf"] += 1
+        return self.law.cdf(x)
+
+    def ppf(self, q):
+        self.calls["ppf"] += 1
+        return self.law.ppf(q)
+
+
+def test_tv_calls_each_law_once_and_no_root_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tv_distance ran a root solve")
+
+    monkeypatch.setattr(posterior_module, "brentq", refuse)
+    p = _CountedLaw(AnalyticPosterior(shape=40.0, scale=12.0, shift=0.01))
+    q = _CountedLaw(normal_reference(0.3, 0.01, -0.5, 1))
+    res = tv_distance(p, q)
+    assert res.method == "cdf" and res.detail["crossings"] >= 2
+    assert p.calls == q.calls == {"pdf": 1, "cdf": 1, "ppf": 1}
 
 
 def test_tv_normal_shift_closed_form():

@@ -71,15 +71,15 @@ def test_matrix_identities(n):
 
 
 def test_apply_n1_identity():
-    out = apply_transform(np.array([2.5]), delta=1.0)
-    assert out.R[0] == pytest.approx(2.5, abs=1e-15)
+    R = apply_transform(np.array([2.5]))
+    assert R[0] == pytest.approx(2.5, abs=1e-15)
 
 
 def test_unit_vector_gives_matrix_column():
     n = 8
     e1 = np.zeros(n)
     e1[0] = 1.0
-    R = apply_transform(e1, delta=1.0 / n).R
+    R = apply_transform(e1)
     col = transform_matrix(n)[:, 0]
     np.testing.assert_allclose(R, col, atol=1e-14)
 
@@ -87,7 +87,7 @@ def test_unit_vector_gives_matrix_column():
 def test_norm_preservation_large_n():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(4096)
-    R = apply_transform(x, delta=1.0 / 4096).R
+    R = apply_transform(x)
     assert np.linalg.norm(R) == pytest.approx(np.linalg.norm(x), rel=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_fast_and_direct_agree(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
     direct = transform_matrix(n) @ x
-    fast = apply_transform(x, 1.0 / n).R
+    fast = apply_transform(x)
     np.testing.assert_allclose(fast, direct, rtol=1e-10, atol=1e-12)
 
 
@@ -105,7 +105,7 @@ def test_fast_and_direct_agree(n):
 def test_chirp_path_matches_scipy_dst(n):
     # n + 1 = 15601 is prime, 23401 = 7 * 3343
     x = np.random.default_rng(n).standard_normal(n)
-    R = apply_transform(x, 1.0 / n).R
+    R = apply_transform(x)
     want = scipy.fft.dst(x, type=1, norm="ortho")
     # 2.6e-17 measured; phases taken as k^2 without the reduction mod
     # 4(n + 1) lose 8.7e-14 at n = 23400
@@ -116,7 +116,7 @@ def test_chirp_path_matches_scipy_dst(n):
 def test_scipy_path_is_scipy_dst_bit_for_bit(n):
     # largest prime factors of n + 1: 29, 269 and 13, all below CHIRP_MIN_PRIME
     x = np.random.default_rng(n).standard_normal(n)
-    assert np.array_equal(apply_transform(x, 1.0 / n).R, scipy.fft.dst(x, type=1, norm="ortho"))
+    assert np.array_equal(apply_transform(x), scipy.fft.dst(x, type=1, norm="ortho"))
 
 
 def test_chirp_path_makes_no_scipy_dst_call(monkeypatch):
@@ -125,19 +125,19 @@ def test_chirp_path_makes_no_scipy_dst_call(monkeypatch):
 
     monkeypatch.setattr(levyvol.transform, "dst", refuse)
     x = np.random.default_rng(3).standard_normal(23400)
-    assert np.isfinite(apply_transform(x, 1.0 / 23400).R).all()
+    assert np.isfinite(apply_transform(x)).all()
 
 
 def test_empty_input_raises():
     with pytest.raises(ValueError):
-        apply_transform(np.array([]), delta=0.1)
+        apply_transform(np.array([]))
 
 
 def test_input_must_be_one_dimensional():
     with pytest.raises(ValueError, match="1-D"):
-        apply_transform(np.ones((2, 3)), delta=0.1)
+        apply_transform(np.ones((2, 3)))
     with pytest.raises(ValueError, match="1-D"):
-        apply_transform(np.float64(1.0), delta=0.1)
+        apply_transform(np.float64(1.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,8 +150,8 @@ def test_transform_is_isometry(n, n_chirp, seed):
     rng = np.random.default_rng(seed)
     for size in (n, n_chirp):
         x = rng.standard_normal(size)
-        out = apply_transform(x, delta=1.0 / size)
-        assert np.linalg.norm(out.R) == pytest.approx(np.linalg.norm(x), rel=1e-10, abs=1e-12)
+        R = apply_transform(x)
+        assert np.linalg.norm(R) == pytest.approx(np.linalg.norm(x), rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2000, 15600, 23400])
@@ -193,7 +193,7 @@ def test_conditional_variance_of_coordinates():
     for r in range(reps):
         eps = sig * rng.standard_normal(n + 1)
         dY = np.sqrt(theta * delta) * rng.standard_normal(n) + np.diff(eps)
-        R[r] = apply_transform(dY, delta).R
+        R[r] = apply_transform(dY)
     var_emp = R.var(axis=0)
     lam = eigen_variance(theta, sig**2, n, delta, np.arange(1, n + 1))
     # chi-square MC error: se(var) ~ lam * sqrt(2/reps); check every 16th j
