@@ -50,7 +50,6 @@ from .posterior import (
     hpd_interval,
     normal_reference,
     point_estimates,
-    summarize,
     tempered_posterior_conjugate,
     tempered_posterior_mcmc,
     tv_distance,
@@ -65,6 +64,7 @@ from .experiments import (
     config_from_dict,
     default_config,
     emit_plot_data,
+    fit_replication,
     load_config,
     run,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -20,14 +19,13 @@ from .errors import ConfigurationError
 from .estimators import estimate_no_noise, estimate_noise
 from .experiments import (
     EXPERIMENTS,
+    _simulate,
     default_config,
     emit_plot_data,
-    fit_path,
+    fit_replication,
     load_config,
     run,
 )
-from .posterior import summarize
-from .simulate import dump_path_csv, simulate_path
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -72,16 +70,7 @@ def _cmd_simulate(args) -> int:
         cfg = replace(cfg, dump_paths=True)
     if cfg.dump_paths and not cfg.out_dir:
         raise ConfigurationError("--dump-paths needs --out")
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    qvs = []
-    for rep in range(cfg.replications):
-        path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
-        qvs.append(path.jump_qv)
-        if cfg.dump_paths:
-            dump_path_csv(
-                path, cfg.model.delta, os.path.join(cfg.out_dir, f"path_{rep:05d}.csv")
-            )
+    qvs = [_simulate(cfg, rep).jump_qv for rep in range(cfg.replications)]
     print(
         json.dumps(
             {
@@ -105,7 +94,7 @@ def _one_replication(args):
 
 def _cmd_estimate(args) -> int:
     cfg = _one_replication(args)
-    path = simulate_path(cfg.model, cfg.master_seed, args.rep, cfg.m_aux)
+    path = _simulate(cfg, args.rep)
     if cfg.model.sigma_eps == 0:
         report = estimate_no_noise(path.dY, cfg.model.delta, cfg.w, cfg.bg_index)
     else:
@@ -115,12 +104,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
-    cfg = _one_replication(args)
-    path = simulate_path(cfg.model, cfg.master_seed, args.rep, cfg.m_aux)
-    fit = fit_path(path.dY, cfg.model.delta, cfg, args.rep)
-    out = summarize(fit.adjusted, fit.reference, cfg.level)
-    out["estimators"] = fit.report.to_dict()
-    print(json.dumps(out, indent=2, default=float))
+    _, row = fit_replication(_one_replication(args), args.rep)
+    print(json.dumps(row, indent=2, default=float))
     return 0
 
 
@@ -156,7 +141,7 @@ def main(argv=None) -> int:
     p_est.add_argument("--rep", type=int, default=0)
     p_est.set_defaults(fn=_cmd_estimate)
 
-    p_post = sub.add_parser("posterior", help="posterior summary for one replication")
+    p_post = sub.add_parser("posterior", help="experiment row of one replication")
     _add_common(p_post)
     p_post.add_argument("--rep", type=int, default=0)
     p_post.set_defaults(fn=_cmd_posterior)

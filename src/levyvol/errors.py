@@ -3,7 +3,10 @@ class ConfigurationError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Data admits no maximizer inside the parameter domain (e.g. all-zero increments)."""
+    """Data admit no estimate or posterior summary: no maximizer inside the
+    parameter domain (e.g. all-zero increments), no posterior mean, or an HPD
+    root bracket that does not hold. The one failure an experiment records
+    as a failed row instead of aborting the run."""
 
 
 class CLTWindowWarning(UserWarning):

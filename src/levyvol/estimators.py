@@ -93,6 +93,10 @@ class PreavgConfig:
                 f"threshold_exponent must lie in (1/9, 1/4), got {self.threshold_exponent}"
             )
 
+    def block_length(self, delta: float) -> int:
+        """Pre-averaging block length k_n = floor(c / sqrt(delta))."""
+        return int(np.floor(self.block_constant / np.sqrt(delta)))
+
 
 def window_weights(k: int) -> np.ndarray:
     """Pre-averaging weights g(j/k), j = 1..k-1."""
@@ -150,7 +154,7 @@ def preavg_threshold_estimator(
     cfg.validate()
     c = cfg.block_constant
     c1, c2 = c * GBAR, 1.0 / c
-    k = int(np.floor(c / np.sqrt(delta)))
+    k = cfg.block_length(delta)
     if k < 2:
         raise ConfigurationError(f"block length k={k} < 2; increase n or block_constant")
     w = preavg_windows(dY, k)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CLTWindowWarning, ConfigurationError
+from .errors import CLTWindowWarning, ConfigurationError, DegenerateDataError
 from .estimators import (
     PreavgConfig,
     estimate_no_noise,
@@ -114,6 +114,11 @@ class ExperimentConfig:
             self.model.sigma_eps == 0 and self.experiment != "rate-check"
         )
 
+    @property
+    def data_centered(self) -> bool:
+        """Whether the prior is centered on the data, which splits a noisy sample."""
+        return isinstance(self.prior, TruncatedNormalPrior) and self.prior.center is None
+
     def validate(self) -> None:
         """Refuse, before any replication runs, a design every one would fail on."""
         if self.experiment not in EXPERIMENTS:
@@ -130,6 +135,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 < self.level < 1:
             raise ConfigurationError("level must be in (0, 1)")
+        if (self.dump_paths or self.dump_chains) and not self.out_dir:
+            raise ConfigurationError("dump_paths and dump_chains write to out_dir: set it")
+        if self.dump_chains and self.experiment != "compare-full-bayes":
+            raise ConfigurationError(
+                f"dump_chains writes the Gibbs chains of compare-full-bayes; "
+                f"{self.experiment} runs none"
+            )
         self.model.validate()
         self.preavg.validate()
         self.prior.validate()
@@ -148,6 +160,14 @@ class ExperimentConfig:
             self.chain.validate()
         elif self.model.sigma_eps > 0 and self.experiment not in ("bias-study", "rate-check"):
             self.chain.validate(MIN_RETAINED)  # fit_noise runs the Metropolis chain
+            # ... and pre-averages the second half alone under a data-centered prior
+            smallest = self.model.n // 2 if self.data_centered else self.model.n
+            k = self.preavg.block_length(self.model.delta)
+            if not 2 <= k < smallest:
+                raise ConfigurationError(
+                    f"pre-averaging block length k={k} must be >= 2 and below the "
+                    f"{smallest} increments it pre-averages; change n or block_constant"
+                )
 
     def to_dict(self) -> dict:
         return _to_data(self)
@@ -397,7 +417,7 @@ def fit_noise(
     """
     n = dY.size
     prior = cfg.prior
-    centered = isinstance(prior, TruncatedNormalPrior) and prior.center is None
+    centered = cfg.data_centered
     n1 = (n + 1) // 2 if centered else 0  # boundary increment goes to the first half
     ctx = make_context(dY[n1:], delta)
     report = estimate_noise(ctx.dY, delta, cfg.preavg, cfg.kappa_mode, ctx=ctx)
@@ -426,20 +446,30 @@ def fit_path(dY: np.ndarray, delta: float, cfg: ExperimentConfig, rep: int) -> F
     return fit_noise(dY, delta, cfg, rep)
 
 
-def _interval_cols(fit: FitResult, level: float, truth: float) -> dict:
-    hpd = hpd_interval(fit.adjusted, level)
-    et = equal_tail_interval(fit.adjusted, level)
-    wald = fit.reference.wald_interval(level)
-    out = {}
-    for iv, tag in ((hpd, "hpd"), (et, "equal_tail"), (wald, "wald")):
-        out[f"{tag}_lower"] = iv.lower
-        out[f"{tag}_upper"] = iv.upper
-        out[f"{tag}_covers"] = int(iv.contains(truth))
-    return out
+# the three intervals of a fit row: column tag and `IntervalReport.kind`
+INTERVALS = (("hpd", "HPD"), ("equal_tail", "EqualTail"), ("wald", "WaldNormal"))
 
 
-def _rep_single_path(cfg: ExperimentConfig, rep: int) -> dict:
-    path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
+def _simulate(cfg: ExperimentConfig, task: int, model: Optional[ModelSpec] = None):
+    """Path of task ``task`` under ``model`` (the config's when None), written
+    to ``path_{task:05d}.csv`` in ``out_dir`` when ``dump_paths`` is set."""
+    model = model or cfg.model
+    path = simulate_path(model, cfg.master_seed, task, cfg.m_aux)
+    if cfg.dump_paths:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        dump_path_csv(path, model.delta, os.path.join(cfg.out_dir, f"path_{task:05d}.csv"))
+    return path
+
+
+def fit_replication(cfg: ExperimentConfig, rep: int) -> tuple[FitResult, dict]:
+    """Fit replication ``rep`` and summarize it in one row: the estimates, the
+    adjusted posterior's shift, point estimates and TV distance to the normal
+    reference, the chain's acceptance rate on noisy data, the three intervals
+    with whether each covers the true theta, and the estimator report's
+    ``flag_*`` columns. It is the row `run` writes for single-path and both
+    coverage designs, the one ``levyvol posterior`` prints, and the source of
+    the intervals and per-rep values `emit_plot_data` writes."""
+    path = _simulate(cfg, rep)
     fit = fit_path(path.dY, cfg.model.delta, cfg, rep)
     pts = point_estimates(fit.adjusted)
     row = {
@@ -450,18 +480,29 @@ def _rep_single_path(cfg: ExperimentConfig, rep: int) -> dict:
         "jump_qv_hat": fit.report.jump_qv_hat,
         "jump_qv_true": path.jump_qv,
         "kappa_n": fit.report.kappa_n,
+        "shift": fit.adjusted.shift,
         "mean_adjusted": pts.mean,
         "map_adjusted": pts.map,
         "tv_to_reference": tv_distance(fit.adjusted, fit.reference).value,
     }
-    row.update(_interval_cols(fit, cfg.level, cfg.model.theta))
-    if cfg.dump_paths and cfg.out_dir:
-        dump_path_csv(path, cfg.model.delta, os.path.join(cfg.out_dir, f"path_{rep:05d}.csv"))
-    return row
+    if cfg.model.sigma_eps > 0:
+        row["acceptance_rate"] = fit.posterior.acceptance_rate
+    hpd = hpd_interval(fit.adjusted, cfg.level)
+    et = equal_tail_interval(fit.adjusted, cfg.level)
+    for (tag, _), iv in zip(INTERVALS, (hpd, et, fit.reference.wald_interval(cfg.level))):
+        row[f"{tag}_lower"] = iv.lower
+        row[f"{tag}_upper"] = iv.upper
+        row[f"{tag}_covers"] = int(iv.contains(cfg.model.theta))
+    row.update((k, v) for k, v in fit.report.to_dict().items() if k.startswith("flag_"))
+    return fit, row
+
+
+def _rep_fit(cfg: ExperimentConfig, rep: int) -> dict:
+    return fit_replication(cfg, rep)[1]
 
 
 def _rep_bias_study(cfg: ExperimentConfig, rep: int) -> dict:
-    path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
+    path = _simulate(cfg, rep)
     delta = cfg.model.delta
     horizon = cfg.model.horizon
     theta_star = cfg.model.theta
@@ -488,28 +529,11 @@ def _rep_bias_study(cfg: ExperimentConfig, rep: int) -> dict:
     }
 
 
-def _rep_coverage(cfg: ExperimentConfig, rep: int) -> dict:
-    path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
-    fit = fit_path(path.dY, cfg.model.delta, cfg, rep)
-    pts = point_estimates(fit.adjusted)
-    row = {
-        "rep": rep,
-        "theta_hat": fit.reference.center,
-        "mean_adjusted": pts.mean,
-        "map_adjusted": pts.map,
-        "kappa_n": fit.report.kappa_n,
-    }
-    if cfg.model.sigma_eps > 0:
-        row["acceptance_rate"] = fit.posterior.acceptance_rate
-    row.update(_interval_cols(fit, cfg.level, cfg.model.theta))
-    return row
-
-
 def _rep_rate_check(cfg: ExperimentConfig, task: int) -> dict:
     n_idx, rep = divmod(task, cfg.replications)
     n = cfg.n_grid[n_idx]
     model = replace(cfg.model, n=n)
-    path = simulate_path(model, cfg.master_seed, task, cfg.m_aux)
+    path = _simulate(cfg, task, model)
     delta = model.delta
     horizon = model.horizon
     theta_dag = model.theta + path.jump_qv / horizon
@@ -528,14 +552,12 @@ def _rep_rate_check(cfg: ExperimentConfig, task: int) -> dict:
 
 
 def _rep_compare(cfg: ExperimentConfig, rep: int) -> dict:
-    path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
+    path = _simulate(cfg, rep)
     delta = cfg.model.delta
     fit = fit_no_noise(path.dY, delta, cfg)
     hpd_mis = hpd_interval(fit.adjusted, cfg.level)
 
-    dump = None
-    if cfg.dump_chains and cfg.out_dir:
-        dump = os.path.join(cfg.out_dir, f"chain_{rep:05d}.csv")
+    dump = os.path.join(cfg.out_dir, f"chain_{rep:05d}.csv") if cfg.dump_chains else None
     traj = gibbs_full_joint(
         path.dY,
         delta,
@@ -562,28 +584,28 @@ def _rep_compare(cfg: ExperimentConfig, rep: int) -> dict:
 
 
 _WORKERS = {
-    "single-path": _rep_single_path,
+    "single-path": _rep_fit,
     "bias-study": _rep_bias_study,
-    "coverage-nonoise": _rep_coverage,
-    "coverage-noise": _rep_coverage,
+    "coverage-nonoise": _rep_fit,
+    "coverage-noise": _rep_fit,
     "rate-check": _rep_rate_check,
     "compare-full-bayes": _rep_compare,
 }
 
 
 def _safe_worker(args) -> dict:
-    """Run one task. Data and numerical failures become a row with the
-    reason: ``ValueError`` covers ConfigurationError, DegenerateDataError,
-    LinAlgError and a root solver's bracket error, ``ArithmeticError`` the
-    floating-point ones. Any other exception is a bug and aborts the run.
-    The CLT-window warning is a fact about the design, which ``run`` reports
-    once, so it is silenced here."""
+    """Run one task. A data failure (``DegenerateDataError``: data that admit
+    no estimate or posterior summary) becomes a row with the reason. Any
+    other exception, a ``ConfigurationError`` or a plain ``ValueError`` or
+    ``ArithmeticError`` included, is a bug or a bad design and aborts the
+    run. The CLT-window warning is a fact about the design, which ``run``
+    reports once, so it is silenced here."""
     cfg, task = args
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CLTWindowWarning)
             return _WORKERS[cfg.experiment](cfg, task)
-    except (ValueError, ArithmeticError) as exc:
+    except DegenerateDataError as exc:
         return {"rep": task, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -594,7 +616,7 @@ def _safe_worker(args) -> dict:
 
 def _coverage_summary(rows: list[dict], level: float) -> dict:
     out = {}
-    for tag, kind in (("hpd", "HPD"), ("equal_tail", "EqualTail"), ("wald", "WaldNormal")):
+    for tag, kind in INTERVALS:
         covers = np.array([r[f"{tag}_covers"] for r in rows], dtype=float)
         widths = np.array([r[f"{tag}_upper"] - r[f"{tag}_lower"] for r in rows])
         p = float(covers.mean())
@@ -742,9 +764,9 @@ def _write_rows(rows: list[dict], filename: str) -> None:
 
 
 def emit_plot_data(cfg: ExperimentConfig, out_dir: str, reps: Optional[int] = None) -> dict:
-    """Re-run the per-replication pipeline for the first ``reps`` replications
-    (all when None; ``reps < 1`` is refused) and write grid-evaluated
-    densities plus interval endpoints; no plotting.
+    """Re-run `fit_replication` for the first ``reps`` replications (all when
+    None; ``reps < 1`` is refused) and write grid-evaluated densities plus
+    the row's interval endpoints; no plotting.
 
     densities.csv: (rep, theta, pdf_posterior, pdf_adjusted, pdf_reference)
     intervals.csv: (rep, kind, lower, upper, covers_truth)
@@ -755,14 +777,12 @@ def emit_plot_data(cfg: ExperimentConfig, out_dir: str, reps: Optional[int] = No
         raise ConfigurationError(f"plot reps must be >= 1, got {reps}")
     os.makedirs(out_dir, exist_ok=True)
     n_reps = cfg.replications if reps is None else min(reps, cfg.replications)
-    truth = cfg.model.theta
 
     dens_rows = []
     int_rows = []
     meta = {}
     for rep in range(n_reps):
-        path = simulate_path(cfg.model, cfg.master_seed, rep, cfg.m_aux)
-        fit = fit_path(path.dY, cfg.model.delta, cfg, rep)
+        fit, row = fit_replication(cfg, rep)
         ref = fit.reference
         lo = ref.center - 8 * ref.sd
         hi = ref.center + 8 * ref.sd
@@ -786,24 +806,17 @@ def emit_plot_data(cfg: ExperimentConfig, out_dir: str, reps: Optional[int] = No
                     "pdf_reference": q,
                 }
             )
-        hpd = hpd_interval(fit.adjusted, cfg.level)
-        et = equal_tail_interval(fit.adjusted, cfg.level)
-        wald = ref.wald_interval(cfg.level)
-        for iv in (hpd, et, wald):
+        for tag, kind in INTERVALS:
             int_rows.append(
                 {
                     "rep": rep,
-                    "kind": iv.kind,
-                    "lower": iv.lower,
-                    "upper": iv.upper,
-                    "covers_truth": int(iv.contains(truth)),
+                    "kind": kind,
+                    "lower": row[f"{tag}_lower"],
+                    "upper": row[f"{tag}_upper"],
+                    "covers_truth": row[f"{tag}_covers"],
                 }
             )
-        meta[str(rep)] = {
-            "tv_to_reference": tv_distance(fit.adjusted, ref).value,
-            "kappa_n": fit.report.kappa_n,
-            "shift": fit.adjusted.shift,
-        }
+        meta[str(rep)] = {k: row[k] for k in ("tv_to_reference", "kappa_n", "shift")}
 
     _write_rows(dens_rows, os.path.join(out_dir, "densities.csv"))
     _write_rows(int_rows, os.path.join(out_dir, "intervals.csv"))

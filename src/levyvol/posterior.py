@@ -21,7 +21,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammainccinv
 from scipy.stats import invgamma, norm
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateDataError
 from .likelihood import LikelihoodContext, log_det, loglik, loglik_hess, mle, quasi_sum_taylor
 from .rng import stream
 
@@ -180,7 +180,7 @@ class AnalyticPosterior:
 
     def mean(self) -> float:
         if self.shape <= 1:
-            raise ValueError("mean undefined for shape <= 1")
+            raise DegenerateDataError("mean undefined for shape <= 1")
         return self.scale / (self.shape - 1) - self.shift
 
     def var(self) -> float:
@@ -561,10 +561,14 @@ def hpd_interval(posterior: Posterior, level: float = 0.95) -> IntervalReport:
         return (a + 1) * np.log(hi / lo) + b / hi - b / lo
 
     # the gap runs from -inf (p -> 0) to +inf (p -> 1 - level, where
-    # x(p + level) -> x(1) = inf); the bracket stops short of both ends
-    p_star = brentq(
-        logf_gap, 1e-300, (1 - level) * (1 - 1e-9), xtol=1e-300, rtol=4 * np.finfo(float).eps
-    )
+    # x(p + level) -> x(1) = inf); the bracket stops short of both ends, and
+    # a law too extreme for it to hold in floats is a data failure
+    try:
+        p_star = brentq(
+            logf_gap, 1e-300, (1 - level) * (1 - 1e-9), xtol=1e-300, rtol=4 * np.finfo(float).eps
+        )
+    except ValueError as exc:
+        raise DegenerateDataError(f"no HPD of InvGamma({a}, {b}): {exc}") from exc
     lower = x_at(p_star) - posterior.shift
     upper = x_at(p_star + level) - posterior.shift
     return IntervalReport(float(lower), float(upper), level, "HPD")
@@ -647,38 +651,9 @@ class PointEstimates:
 def point_estimates(posterior: Posterior) -> PointEstimates:
     """Posterior mean and MAP.
 
-    Analytic: closed forms; the mean raises ValueError where it does not
-    exist (shape <= 1). Empirical: sample mean, and the exact mode of the
-    chain's target as the MAP.
+    Analytic: closed forms; the mean raises DegenerateDataError where it
+    does not exist (shape <= 1). Empirical: sample mean, and the exact mode
+    of the chain's target as the MAP.
     """
     mode = posterior.map_point() if isinstance(posterior, AnalyticPosterior) else posterior.mode
     return PointEstimates(posterior.mean(), mode)
-
-
-def summarize(
-    posterior: Posterior, reference: Optional[NormalReference] = None, level: float = 0.95
-) -> dict:
-    """JSON-ready posterior summary.
-
-    The shift correction can push mass onto negative values; everything is
-    computed and reported on the shifted law as-is.
-    """
-    pts = point_estimates(posterior)
-    intervals = [
-        vars(hpd_interval(posterior, level)),
-        vars(equal_tail_interval(posterior, level)),
-    ]
-    out = {
-        "kind": posterior.kind,
-        "kappa": posterior.kappa,
-        "shift": posterior.shift,
-        "mean": pts.mean,
-        "map": pts.map,
-        "intervals": intervals,
-        "tv_to_reference": None,
-        "chain_meta": getattr(posterior, "chain_meta", None),
-    }
-    if reference is not None:
-        out["tv_to_reference"] = tv_distance(posterior, reference).value
-        intervals.append(vars(reference.wald_interval(level)))
-    return out

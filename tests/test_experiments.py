@@ -268,6 +268,12 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         {"experiment": "single-path", "master_seed": -1},
         {"experiment": "single-path", "m_aux": 0},
         {"experiment": "single-path", "jobs": 0},
+        {"experiment": "coverage-noise", "model": {"n": 8}},
+        {"experiment": "single-path", "model": {"n": 100, "sigma_eps": 0.01},
+         "preavg": {"block_constant": 10}},
+        {"experiment": "single-path", "dump_paths": True},
+        {"experiment": "compare-full-bayes", "dump_chains": True},
+        {"experiment": "coverage-nonoise", "dump_chains": True, "out_dir": "unused"},
     ],
     ids=[
         "prior-family",
@@ -289,11 +295,26 @@ def test_config_jump_merges_into_the_design_jump_of_its_kind():
         "negative-seed",
         "m-aux-zero",
         "jobs-zero",
+        "noise-block-below-two",
+        "noise-block-not-below-sample",
+        "dump-paths-without-out-dir",
+        "dump-chains-without-out-dir",
+        "dump-chains-without-gibbs",
     ],
 )
 def test_config_errors_are_refused_before_any_replication(d):
     with pytest.raises(ConfigurationError):
-        run(config_from_dict({**d, "replications": 2}))
+        config_from_dict({**d, "replications": 2}).validate()
+
+
+def test_the_pre_averaging_block_bound_follows_the_split():
+    # n = 100, c = 5: k = floor(c sqrt(n)) = 50 is below the n increments a
+    # fixed prior pre-averages, not below the n // 2 of a data-centered one
+    d = {"experiment": "coverage-noise", "model": {"n": 100}, "preavg": {"block_constant": 5}}
+    config_from_dict({**d, "prior": {"family": "exponential"}}).validate()
+    with pytest.raises(ConfigurationError, match="k=50 must be >= 2 and below the 50 "):
+        config_from_dict(d).validate()
+    config_from_dict({**d, "preavg": {"block_constant": 4.9}}).validate()
 
 
 def test_only_the_conjugate_pipeline_needs_an_inverse_gamma_prior():
@@ -360,6 +381,16 @@ def test_run_aborts_on_a_programming_error(monkeypatch):
     monkeypatch.setitem(levyvol.experiments._WORKERS, "bias-study", broken)
     with pytest.raises(TypeError, match="not a data failure"):
         run(_tiny("bias-study"))
+
+
+def test_a_plain_value_error_in_the_fit_aborts_the_run(monkeypatch):
+    # only DegenerateDataError is a data failure; a bare ValueError is a bug
+    def broken(*args):
+        raise ValueError("not a data failure")
+
+    monkeypatch.setattr(levyvol.experiments, "fit_path", broken)
+    with pytest.raises(ValueError, match="not a data failure"):
+        run(_tiny("coverage-nonoise"))
 
 
 def test_failed_rows_written_with_reason(tmp_path):
@@ -539,6 +570,54 @@ def test_single_path_tv_column():
     assert "jump_qv_true" in res.rows[0]
 
 
+@pytest.mark.parametrize("sigma_eps", [0.0, 0.01], ids=["no-noise", "noise"])
+def test_fit_designs_emit_one_row_schema(sigma_eps):
+    # single-path and both coverage designs run one worker: on one model
+    # their rows have the same columns, the estimator flags among them
+    columns = []
+    for experiment in ("single-path", "coverage-nonoise", "coverage-noise"):
+        cfg = replace(_tiny(experiment, n=2000, w=0.41), replications=1)
+        model = replace(default_config("coverage-nonoise").model, n=2000, sigma_eps=sigma_eps)
+        prior = TruncatedNormalPrior(sd=0.06) if sigma_eps else InverseGammaPrior()
+        columns.append(list(run(replace(cfg, model=model, prior=prior)).rows[0]))
+    assert columns[0] == columns[1] == columns[2]
+    assert {"theta_tilde", "jump_qv_true", "shift", "tv_to_reference", "wald_covers"} <= set(
+        columns[0]
+    )
+    assert ("acceptance_rate" in columns[0]) == (sigma_eps > 0)
+    flags = [c for c in columns[0] if c.startswith("flag_")]
+    assert "flag_jump_qv_negative" in flags and len(flags) == (6 if sigma_eps else 2)
+
+
+@pytest.mark.parametrize(
+    "experiment,n", [("single-path", 800), ("coverage-noise", 3000)], ids=["single-path", "noise"]
+)
+def test_cli_posterior_prints_the_experiment_row(tmp_path, capsys, experiment, n):
+    cfg = replace(_tiny(experiment, n=n), replications=2)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg.to_dict()))
+    assert main(["posterior", "--config", str(cfg_file), "--rep", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == run(cfg).rows[1]
+
+
+def test_plot_data_tables_the_row(tmp_path):
+    cfg = replace(_tiny("coverage-noise", n=3000), replications=2)
+    rows = run(cfg).rows
+    emit_plot_data(cfg, str(tmp_path))
+    with open(tmp_path / "intervals.csv") as fh:
+        ivs = list(csv.DictReader(fh))
+    kinds = {"HPD": "hpd", "EqualTail": "equal_tail", "WaldNormal": "wald"}
+    assert len(ivs) == 6
+    for iv in ivs:
+        row, tag = rows[int(iv["rep"])], kinds[iv["kind"]]
+        assert float(iv["lower"]) == row[f"{tag}_lower"]
+        assert float(iv["upper"]) == row[f"{tag}_upper"]
+        assert int(iv["covers_truth"]) == row[f"{tag}_covers"]
+    meta = json.loads((tmp_path / "plot_meta.json").read_text())["per_rep"]
+    for rep, row in enumerate(rows):
+        assert meta[str(rep)] == {k: row[k] for k in ("tv_to_reference", "kappa_n", "shift")}
+
+
 def test_emit_plot_data_densities_normalized(tmp_path):
     cfg = replace(_tiny("single-path"), replications=2)
     info = emit_plot_data(cfg, str(tmp_path), reps=2)
@@ -565,6 +644,17 @@ def test_dump_paths_flag(tmp_path):
     run(cfg)
     assert (tmp_path / "path_00000.csv").exists()
     assert (tmp_path / "path_00001.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,over,tasks",
+    [("coverage-nonoise", {}, 3), ("rate-check", {"replications": 2, "n_grid": (200, 400)}, 4)],
+    ids=["coverage", "rate-check"],
+)
+def test_dump_paths_writes_one_path_per_task(tmp_path, experiment, over, tasks):
+    run(replace(_tiny(experiment), dump_paths=True, out_dir=str(tmp_path), **over))
+    paths = sorted(p.name for p in tmp_path.glob("path_*.csv"))
+    assert paths == [f"path_{t:05d}.csv" for t in range(tasks)]
 
 
 def test_dump_chains_flag(tmp_path):
@@ -624,9 +714,11 @@ def test_cli_estimate_and_posterior(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert "theta_tilde" in rep and "kappa_n" in rep
     assert main(["posterior", "--experiment", "single-path", "--n", "500"]) == 0
-    post = json.loads(capsys.readouterr().out)
-    assert {iv["kind"] for iv in post["intervals"]} == {"HPD", "EqualTail", "WaldNormal"}
-    assert "estimators" in post
+    row = json.loads(capsys.readouterr().out)
+    for tag in ("hpd", "equal_tail", "wald"):
+        assert row[f"{tag}_lower"] < row[f"{tag}_upper"]
+        assert row[f"{tag}_covers"] in (0, 1)
+    assert "theta_tilde" in row and "flag_jump_qv_negative" in row
 
 
 @pytest.mark.parametrize(

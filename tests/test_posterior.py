@@ -30,7 +30,6 @@ from levyvol import (
     normal_reference,
     point_estimates,
     simulate_path,
-    summarize,
     tempered_posterior_conjugate,
     tempered_posterior_mcmc,
     tv_distance,
@@ -765,16 +764,3 @@ def test_prior_validate_accepts_defaults_and_a_data_center():
     for prior in (InverseGammaPrior(), TruncatedNormalPrior(), UniformPrior(), ExponentialPrior()):
         prior.validate()
     assert TruncatedNormalPrior().center is None
-
-
-def test_summarize_schema():
-    dY, _ = _gaussian_ctx(n=500, seed=19)
-    post = tempered_posterior_conjugate(InverseGammaPrior(1, 1), dY, 2e-3, 1.0)
-    ref = normal_reference(0.4, 0.32, -0.5, 500)
-    out = summarize(post, ref)
-    for key in ("kind", "kappa", "shift", "mean", "map", "intervals", "tv_to_reference"):
-        assert key in out
-    assert len(out["intervals"]) == 3
-    kinds = {iv["kind"] for iv in out["intervals"]}
-    assert kinds == {"HPD", "EqualTail", "WaldNormal"}
-
